@@ -197,8 +197,10 @@ class StochasticMatrix:
 class PLCurve:
     """Piecewise-linear curve given by its breakpoints.
 
-    x must be strictly increasing once exact duplicates are merged; y must be
-    non-decreasing. Concavity is a property of the curves produced by
+    Consecutive points with exactly equal x form a run, which is merged into
+    its first point; every y in a run must agree with the run's first y
+    within VALIDATION_TOL. After merging, x must be strictly increasing and
+    y non-decreasing. Concavity is a property of the curves produced by
     lorenz_curve / thermo_curve, not of the type itself.
     """
 
@@ -210,17 +212,17 @@ class PLCurve:
             raise InvalidInputError("curve needs at least two (x, y) points")
         if not np.all(np.isfinite(pts)):
             raise InvalidInputError("curve points must be finite")
-        # merge consecutive points with identical x; conflicting y is an error
-        keep = [0]
-        for k in range(1, len(pts)):
-            if pts[k, 0] == pts[keep[-1], 0]:
-                if abs(pts[k, 1] - pts[keep[-1], 1]) > VALIDATION_TOL:
-                    raise InvalidInputError("duplicate x with conflicting y values")
-            else:
-                keep.append(k)
-        pts = pts[keep]
-        if np.any(np.diff(pts[:, 0]) <= 0):
-            raise InvalidInputError("curve x coordinates must be strictly increasing")
+        dx = np.diff(pts[:, 0])
+        if (dx > 0).all():
+            pts = pts.copy()  # no runs to merge; own the array we freeze
+        else:
+            new_run = np.concatenate(([True], dx != 0))
+            run_start = np.maximum.accumulate(np.where(new_run, np.arange(len(pts)), 0))
+            if (np.abs(pts[:, 1] - pts[run_start, 1]) > VALIDATION_TOL).any():
+                raise InvalidInputError("duplicate x with conflicting y values")
+            if (dx < 0).any():
+                raise InvalidInputError("curve x coordinates must be strictly increasing")
+            pts = pts[new_run]
         if np.any(np.diff(pts[:, 1]) < -CLAMP_TOL):
             raise InvalidInputError("curve y coordinates must be non-decreasing")
         object.__setattr__(self, "points", pts)

@@ -15,13 +15,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .core import DEFAULT_EPS, GibbsContext, ProbVec
 from .errors import DimensionMismatchError, InvalidInputError
-
-_SUPPORT_TOL = 0.0  # entries are already clamped at construction
 
 
 def _log_sum_pow(logw: np.ndarray) -> float:
@@ -39,7 +38,7 @@ def renyi_entropy(x: ProbVec, alpha: float) -> float:
     sends it to -inf.
     """
     p = x.p
-    supp = p[p > _SUPPORT_TOL]
+    supp = p[p > 0]
     if alpha == 1:
         return float(-(supp * np.log(supp)).sum())
     if alpha == 0:
@@ -54,6 +53,57 @@ def renyi_entropy(x: ProbVec, alpha: float) -> float:
     return sgn / (1.0 - alpha) * _log_sum_pow(alpha * np.log(supp))
 
 
+class _SupportLogs(NamedTuple):
+    """x and y on the support of x, with their logarithms: everything
+    S_alpha(x||y) needs, so any number of orders share one support mask and
+    one np.log pass per vector."""
+
+    p: np.ndarray
+    q: np.ndarray
+    on: np.ndarray
+    p_on: np.ndarray
+    q_on: np.ndarray
+    log_p: np.ndarray
+    log_q: np.ndarray
+
+    @classmethod
+    def of(cls, x: ProbVec, y: ProbVec) -> "_SupportLogs":
+        """Validated terms of S(x||y); y must have full support."""
+        if len(x) != len(y):
+            raise DimensionMismatchError("divergence requires equal dimensions")
+        if np.any(y.p <= 0):
+            raise InvalidInputError("second argument must have full support")
+        p, q = x.p, y.p
+        on = p > 0
+        p_on, q_on = p[on], q[on]
+        return cls(p, q, on, p_on, q_on, np.log(p_on), np.log(q_on))
+
+    def reversed(self) -> "_SupportLogs":
+        """The terms of S(y||x), reusing these arrays; valid only when x has
+        full support."""
+        return _SupportLogs(self.q, self.p, self.on, self.q_on, self.p_on, self.log_q, self.log_p)
+
+    def divergence(self, alpha: float) -> float:
+        p, q, on = self.p, self.q, self.on
+        if alpha == 1:
+            return float((self.p_on * (self.log_p - self.log_q)).sum())
+        if alpha == 0:
+            return float(-np.log(self.q_on.sum()))
+        if alpha == math.inf:
+            return float(np.log((p / q).max()))
+        if alpha == -math.inf:
+            # mirrors the +inf branch with arguments swapped; zeros in x make it
+            # unbounded rather than an error
+            if not np.all(on):
+                return math.inf
+            return float(np.log((q / p).max()))
+        if alpha < 0 and not np.all(on):
+            return math.inf
+        sgn = 1.0 if alpha > 0 else -1.0
+        logterms = alpha * self.log_p + (1.0 - alpha) * self.log_q
+        return sgn / (alpha - 1.0) * _log_sum_pow(logterms)
+
+
 def renyi_divergence(x: ProbVec, y: ProbVec, alpha: float) -> float:
     """S_alpha(x||y); y must have full support.
 
@@ -62,51 +112,40 @@ def renyi_divergence(x: ProbVec, y: ProbVec, alpha: float) -> float:
     branch with arguments swapped. alpha < 0 with zeros in x is unbounded
     (+inf).
     """
-    if len(x) != len(y):
-        raise DimensionMismatchError("divergence requires equal dimensions")
-    if np.any(y.p <= 0):
-        raise InvalidInputError("second argument must have full support")
-    p, q = x.p, y.p
-    on = p > _SUPPORT_TOL
-    if alpha == 1:
-        return float((p[on] * (np.log(p[on]) - np.log(q[on]))).sum())
-    if alpha == 0:
-        return float(-np.log(q[on].sum()))
-    if alpha == math.inf:
-        return float(np.log((p / q).max()))
-    if alpha == -math.inf:
-        # mirrors the +inf branch with arguments swapped; zeros in x make it
-        # unbounded rather than an error
-        if not np.all(on):
-            return math.inf
-        return float(np.log((q / p).max()))
-    if alpha < 0 and not np.all(on):
-        return math.inf
-    sgn = 1.0 if alpha > 0 else -1.0
-    logterms = alpha * np.log(p[on]) + (1.0 - alpha) * np.log(q[on])
-    return sgn / (alpha - 1.0) * _log_sum_pow(logterms)
+    return _SupportLogs.of(x, y).divergence(alpha)
 
 
-def free_energy_alpha(x: ProbVec, ctx: GibbsContext, alpha: float) -> float:
-    """F_alpha(x) = -kT log Z + kT S_alpha(x || g). Rejects beta = 0."""
+def _require_beta(ctx: GibbsContext):
     if ctx.beta == 0:
         raise InvalidInputError(
             "free energies are undefined at beta = 0; use renyi_entropy instead"
         )
+
+
+def _free_energy(logs: _SupportLogs, ctx: GibbsContext, alpha: float) -> float:
     kT = ctx.kT
-    return float(-kT * np.log(ctx.Z) + kT * renyi_divergence(x, ctx.gibbs, alpha))
+    return float(-kT * np.log(ctx.Z) + kT * logs.divergence(alpha))
+
+
+def free_energy_alpha(x: ProbVec, ctx: GibbsContext, alpha: float) -> float:
+    """F_alpha(x) = -kT log Z + kT S_alpha(x || g). Rejects beta = 0."""
+    _require_beta(ctx)
+    return _free_energy(_SupportLogs.of(x, ctx.gibbs), ctx, alpha)
+
+
+def _burg(logs: _SupportLogs, ctx: GibbsContext) -> float:
+    """kT S_1(g || x) - kT log Z from the terms of S(x || g)."""
+    if not logs.on.all():
+        return math.inf
+    kT = ctx.kT
+    return kT * logs.reversed().divergence(1) - kT * np.log(ctx.Z)
 
 
 def burg_free_energy(x: ProbVec, ctx: GibbsContext) -> float:
     """kT S_1(g || x) - kT log Z; +inf on rank-deficient x."""
     if ctx.beta == 0:
         raise InvalidInputError("Burg free energy undefined at beta = 0")
-    kT = ctx.kT
-    g = ctx.gibbs.p
-    if np.any(x.p <= 0):
-        return math.inf
-    kl = float((g * (np.log(g) - np.log(x.p))).sum())
-    return kT * kl - kT * np.log(ctx.Z)
+    return _burg(_SupportLogs.of(x, ctx.gibbs), ctx)
 
 
 def default_alpha_grid() -> list[float]:
@@ -140,7 +179,8 @@ class SecondLawsVerdict:
     eps: float = field(default=DEFAULT_EPS)
 
     def __post_init__(self):
-        assert self.passed == (len(self.violations) == 0)
+        if self.passed != (len(self.violations) == 0):
+            raise InvalidInputError("passed must hold exactly when there are no violations")
 
 
 def second_laws_check(
@@ -156,13 +196,16 @@ def second_laws_check(
     alpha_grid = list(alpha_grid)
     if not alpha_grid:
         raise InvalidInputError("alpha grid must be non-empty")
+    _require_beta(ctx)
+    # one support mask and one log per state, shared by every grid order
+    logs_x, logs_y = _SupportLogs.of(x, ctx.gibbs), _SupportLogs.of(y, ctx.gibbs)
     violations = []
     strict = nonstrict = 0
     for alpha in [*alpha_grid, BURG]:
         if alpha == BURG:
-            fx, fy = burg_free_energy(x, ctx), burg_free_energy(y, ctx)
+            fx, fy = _burg(logs_x, ctx), _burg(logs_y, ctx)
         else:
-            fx, fy = free_energy_alpha(x, ctx, alpha), free_energy_alpha(y, ctx, alpha)
+            fx, fy = _free_energy(logs_x, ctx, alpha), _free_energy(logs_y, ctx, alpha)
         if fx == math.inf and fy == math.inf:
             nonstrict += 1  # both unbounded: vacuous at this order
             continue

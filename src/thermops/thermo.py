@@ -30,6 +30,16 @@ from .errors import (
 from .majorization import hlp_construct, majorizes
 
 
+def _is_permutation(arr: np.ndarray) -> bool:
+    """n entries in [0, n) form a permutation iff every index occurs at least
+    once. The range check comes first, so bincount never counts more than n
+    bins."""
+    n = len(arr)
+    if n == 0:
+        return True
+    return bool(arr.min() >= 0 and arr.max() < n and np.bincount(arr, minlength=n).min() >= 1)
+
+
 @dataclass(frozen=True)
 class BetaOrder:
     """Permutation pi sorting the ratios x_i / g_i non-increasingly.
@@ -42,7 +52,7 @@ class BetaOrder:
 
     def __post_init__(self):
         arr = np.asarray(self.ranks, dtype=int)
-        if sorted(arr.tolist()) != list(range(len(arr))):
+        if arr.ndim != 1 or not _is_permutation(arr):
             raise InvalidInputError("not a permutation")
         object.__setattr__(self, "ranks", arr)
         arr.setflags(write=False)

@@ -9,7 +9,8 @@ from __future__ import annotations
 import numpy as np
 
 from .core import DEFAULT_EPS, EnergySpectrum, GibbsContext, PLCurve, ProbVec
-from .errors import InvalidInputError
+from .divergences import renyi_divergence
+from .errors import InvalidInputError, ResolutionError
 from .thermo import thermo_curve, thermo_majorizes
 
 # S_0 is support-dependent and hence discontinuous at the boundary; the
@@ -46,9 +47,7 @@ def average_work_reference(x: ProbVec, ctx: GibbsContext) -> float:
     are compared against. Reported as a reference number only; no averaging
     protocol is modelled."""
     _require_thermal(ctx)
-    on = x.p > 0
-    kl = float((x.p[on] * (np.log(x.p[on]) - np.log(ctx.gibbs.p[on]))).sum())
-    return ctx.kT * kl
+    return ctx.kT * renyi_divergence(x, ctx.gibbs, 1)
 
 
 def _joint_state(y: ProbVec, ctx: GibbsContext, W: float, excited: bool) -> tuple[ProbVec, GibbsContext]:
@@ -66,8 +65,9 @@ def battery_rescaled_curve(
     """Thermal curve of y (x) battery over the joint spectrum.
 
     The excited-battery curve is the ground-battery curve compressed along
-    the x-axis by exp(-beta W); this geometric identity is asserted here
-    because both curves are built independently from the joint beta-order.
+    the x-axis by exp(-beta W); this geometric identity is checked here
+    because both curves are built independently from the joint beta-order,
+    and a violation raises ResolutionError.
     """
     _require_thermal(ctx)
     if W < 0:
@@ -80,9 +80,9 @@ def battery_rescaled_curve(
         factor = np.exp(-ctx.beta * W)
         rising = curve.points[curve.points[:, 1] < 1.0 - 1e-15]
         probe = rising[:, 0] / factor
-        assert np.max(np.abs(ref.evaluate(probe) - rising[:, 1])) < 1e-10, (
-            "compression identity violated"
-        )
+        gap = np.max(np.abs(ref.evaluate(probe) - rising[:, 1]))
+        if not gap < 1e-10:
+            raise ResolutionError(f"compression identity violated by {gap:.3e}")
     return curve
 
 
