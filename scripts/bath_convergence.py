@@ -26,7 +26,8 @@ def main():
         _, residual = bath_model_simulate(target, ctx, g_e)
         rows.append({"gE": g_e, "residual": residual, "bound": 3 / g_e})
         print(f"gE={g_e:<6} residual={residual:.3e}  bound={3 / g_e:.3e}")
-        assert residual <= 3 / g_e
+        if residual > 3 / g_e:
+            raise RuntimeError(f"bath residual {residual:.3e} exceeds the bound 3/gE at gE={g_e}")
     (OUT / "bath_convergence.json").write_text(json.dumps(rows, indent=2))
 
 

@@ -34,7 +34,8 @@ def main():
     }
     (OUT / "curve_crossing.json").write_text(json.dumps(summary, indent=2))
     print(json.dumps(summary, indent=2))
-    assert summary["F1_x"] > summary["F1_y"] and not summary["x_to_y"]
+    if not (summary["F1_x"] > summary["F1_y"] and not summary["x_to_y"]):
+        raise RuntimeError("expected a free-energy drop from x to y together with an infeasible transition")
     print("standard free energy drops, yet the transition is infeasible")
 
 

@@ -49,8 +49,10 @@ def main():
             f"beta={r['beta']:<4} down={r['down_factor']:.12f} "
             f"up={r['up_factor']:.12f} bound={r['bound']:.12f}"
         )
-        assert abs(r["up_factor"] - r["bound"]) <= r["tail"] + 1e-12
-        assert abs(r["down_factor"] - 1.0) <= r["tail"] + 1e-12
+        if abs(r["up_factor"] - r["bound"]) > r["tail"] + 1e-12:
+            raise RuntimeError(f"upward transport misses the mode-shift bound at beta={r['beta']}")
+        if abs(r["down_factor"] - 1.0) > r["tail"] + 1e-12:
+            raise RuntimeError(f"downward transport is not perfect at beta={r['beta']}")
 
 
 if __name__ == "__main__":

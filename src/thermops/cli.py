@@ -256,12 +256,12 @@ def free_energies(context_path, state_path, beta, alpha_grid):
     ctx = load_context(context_path, beta)
     x = load_prob_vec(state_path)
     grid = json.loads(alpha_grid) if alpha_grid else divergences.default_alpha_grid()
-    table = [[a, divergences.free_energy_alpha(x, ctx, a)] for a in grid]
+    *values, burg = divergences.free_energies(x, ctx, [*grid, divergences.BURG])
     emit(
         {
             "alpha_grid": grid,
-            "free_energies": table,
-            "burg": divergences.burg_free_energy(x, ctx),
+            "free_energies": [list(row) for row in zip(grid, values)],
+            "burg": burg,
             "kT": ctx.kT,
             "log_Z": float(np.log(ctx.Z)),
         }

@@ -129,8 +129,7 @@ def _free_energy(logs: _SupportLogs, ctx: GibbsContext, alpha: float) -> float:
 
 def free_energy_alpha(x: ProbVec, ctx: GibbsContext, alpha: float) -> float:
     """F_alpha(x) = -kT log Z + kT S_alpha(x || g). Rejects beta = 0."""
-    _require_beta(ctx)
-    return _free_energy(_SupportLogs.of(x, ctx.gibbs), ctx, alpha)
+    return free_energies(x, ctx, [alpha])[0]
 
 
 def _burg(logs: _SupportLogs, ctx: GibbsContext) -> float:
@@ -157,6 +156,15 @@ def default_alpha_grid() -> list[float]:
 
 
 BURG = "burg"
+
+
+def free_energies(x: ProbVec, ctx: GibbsContext, orders) -> list[float]:
+    """F_alpha(x) for every order in `orders`, the BURG tag standing for the
+    Burg free energy, all from one support mask and one log pass of x and g.
+    Rejects beta = 0."""
+    _require_beta(ctx)
+    logs = _SupportLogs.of(x, ctx.gibbs)
+    return [_burg(logs, ctx) if alpha == BURG else _free_energy(logs, ctx, alpha) for alpha in orders]
 
 
 @dataclass(frozen=True)
@@ -196,16 +204,10 @@ def second_laws_check(
     alpha_grid = list(alpha_grid)
     if not alpha_grid:
         raise InvalidInputError("alpha grid must be non-empty")
-    _require_beta(ctx)
-    # one support mask and one log per state, shared by every grid order
-    logs_x, logs_y = _SupportLogs.of(x, ctx.gibbs), _SupportLogs.of(y, ctx.gibbs)
+    orders = [*alpha_grid, BURG]
     violations = []
     strict = nonstrict = 0
-    for alpha in [*alpha_grid, BURG]:
-        if alpha == BURG:
-            fx, fy = _burg(logs_x, ctx), _burg(logs_y, ctx)
-        else:
-            fx, fy = _free_energy(logs_x, ctx, alpha), _free_energy(logs_y, ctx, alpha)
+    for alpha, fx, fy in zip(orders, free_energies(x, ctx, orders), free_energies(y, ctx, orders)):
         if fx == math.inf and fy == math.inf:
             nonstrict += 1  # both unbounded: vacuous at this order
             continue

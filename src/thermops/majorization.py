@@ -7,6 +7,7 @@ through the embedding map.
 """
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,32 +128,48 @@ def _sorted_frame_chain(xs: np.ndarray, ys: np.ndarray):
     matches), and transfers delta = min(xs_j - ys_j, ys_k - xs_k) between
     them; the intermediate vector stays sorted and keeps majorising ys, so at
     most n-1 steps are needed.
+
+    The indices above and below their targets are kept as sorted lists: a
+    step changes only coordinates j and k, so only those two are re-tested;
+    j is the last entry of `over` and k is found by bisection in `under`,
+    so the synthesis takes O(n log n) comparisons instead of rebuilding
+    both index sets at every step.
     """
-    v = xs.astype(float).copy()
+    v = xs.astype(float).tolist()
+    target = ys.tolist()
+    over = np.nonzero(xs > ys + _MATCH_TOL)[0].tolist()
+    under = np.nonzero(xs < ys - _MATCH_TOL)[0].tolist()
     chain = []
     for _ in range(len(v) - 1):
-        over = np.nonzero(v > ys + _MATCH_TOL)[0]
-        under = np.nonzero(v < ys - _MATCH_TOL)[0]
-        if len(over) == 0 or len(under) == 0:
+        if not over or not under:
             break
-        j = over.max()
-        after = under[under > j]
-        if len(after) == 0:
+        j = over[-1]
+        pos = bisect_right(under, j)
+        if pos == len(under):
             raise OrderingError("sorted-frame synthesis lost majorisation")
-        k = after.min()
-        delta = min(v[j] - ys[j], ys[k] - v[k])
+        k = under[pos]
+        delta = min(v[j] - target[j], target[k] - v[k])
         t = 1.0 - delta / (v[j] - v[k])
         t = min(1.0, max(0.0, t))
-        chain.append(TTransform(int(j), int(k), float(t)))
+        chain.append(TTransform(j, k, t))
         moved = (1.0 - t) * (v[j] - v[k])
         v[j] -= moved
         v[k] += moved
         # pin coordinates that reached their target against round-off
-        if abs(v[j] - ys[j]) <= 1e-12:
-            v[j] = ys[j]
-        if abs(v[k] - ys[k]) <= 1e-12:
-            v[k] = ys[k]
-    if np.max(np.abs(v - ys)) > 1e-9:
+        if abs(v[j] - target[j]) <= 1e-12:
+            v[j] = target[j]
+        if abs(v[k] - target[k]) <= 1e-12:
+            v[k] = target[k]
+        # re-test k (still at under[pos]) first, then j (somewhere in over)
+        if not v[k] < target[k] - _MATCH_TOL:
+            del under[pos]
+            if v[k] > target[k] + _MATCH_TOL:
+                insort(over, k)
+        if not v[j] > target[j] + _MATCH_TOL:
+            del over[bisect_left(over, j)]
+            if v[j] < target[j] - _MATCH_TOL:
+                insort(under, j)
+    if np.max(np.abs(np.asarray(v) - ys)) > 1e-9:
         raise OrderingError("sorted-frame synthesis did not converge")
     return chain
 

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -153,6 +154,18 @@ class TestConstruct:
         assert doc["fixed_point_residual"] <= 1e-10
         m = np.array(doc["matrix"])
         np.testing.assert_allclose(m.sum(axis=0), 1.0, atol=1e-9)
+
+    def test_huge_d_max_is_input_error(self, runner, files):
+        start = time.perf_counter()
+        result = runner.invoke(
+            main,
+            ["construct", "--context", files["ctx"], "--x", files["x"], "--y", files["x"], "--d-max", "1000000000"],
+        )
+        assert time.perf_counter() - start < 1.0
+        assert result.exit_code == 2
+        doc = json.loads(result.output)
+        assert doc["error"] == "InvalidInputError"
+        assert "at most" in doc["message"]
 
     def test_infeasible_is_domain_error(self, runner, files):
         result = runner.invoke(

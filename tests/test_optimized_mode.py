@@ -9,6 +9,7 @@ import sys
 import thermops
 
 SRC = pathlib.Path(thermops.__file__).parent
+SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
 
 # Trips both consistency checks with the interpreter's asserts disabled:
 # a verdict whose `passed` contradicts its violations, and a battery curve
@@ -65,9 +66,13 @@ def test_consistency_checks_raise_under_dash_O():
 
 
 def test_library_has_no_assert_statements():
+    """Neither the package nor the experiment scripts under scripts/ may
+    check anything with `assert`."""
+    paths = sorted(SRC.glob("*.py")) + sorted(SCRIPTS.glob("*.py"))
+    assert len(paths) > len(list(SRC.glob("*.py")))
     found = [
-        f"{path.name}:{node.lineno}"
-        for path in sorted(SRC.glob("*.py"))
+        f"{path.parent.name}/{path.name}:{node.lineno}"
+        for path in paths
         for node in ast.walk(ast.parse(path.read_text()))
         if isinstance(node, ast.Assert)
     ]

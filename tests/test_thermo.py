@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -162,6 +163,16 @@ class TestEmbedding:
     def test_rationalize_requires_room(self, ctx_012):
         with pytest.raises(InvalidInputError):
             rationalize(ctx_012, 2)
+
+    def test_huge_d_max_fails_fast(self, ctx_012):
+        x = ProbVec([0.7, 0.2, 0.1])
+        y = ProbVec(0.5 * x.p + 0.5 * ctx_012.gibbs.p)
+        start = time.perf_counter()
+        with pytest.raises(InvalidInputError, match="at most"):
+            rationalize(ctx_012, 10**9)
+        with pytest.raises(InvalidInputError, match="at most"):
+            construct_gibbs_stochastic(x, y, ctx_012, d_max=10**9)
+        assert time.perf_counter() - start < 1.0
 
     def test_embed_examples(self, ctx_halves):
         from thermops.thermo import EmbeddingSpec
