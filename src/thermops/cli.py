@@ -230,8 +230,7 @@ def construct(context_path, x_path, y_path, beta, epsilon, d_max):
     """Synthesise a Gibbs-stochastic matrix mapping x to y."""
     ctx = load_context(context_path, beta)
     x, y = load_prob_vec(x_path), load_prob_vec(y_path)
-    spec = thermo.rationalize(ctx, d_max)
-    g = thermo.construct_gibbs_stochastic(x, y, ctx, d_max, epsilon)
+    g, spec = thermo._construct(x, y, ctx, d_max, epsilon)
     emit(
         {
             "matrix": g.entries.tolist(),

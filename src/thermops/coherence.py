@@ -53,12 +53,6 @@ class BohrSpectrum:
         object.__setattr__(self, "frequencies", arr)
         arr.setflags(write=False)
 
-    def index_of(self, omega: float) -> int:
-        k = int(np.argmin(np.abs(self.frequencies - omega)))
-        if abs(self.frequencies[k] - omega) > max(self.delta, 1e-12) * 1.5:
-            raise InvalidInputError(f"{omega} is not a transition frequency")
-        return k
-
     def __len__(self):
         return len(self.frequencies)
 
@@ -225,7 +219,7 @@ def _matrix_power_on_support(m: np.ndarray, power: float, support_tol: float = 1
     on = w > support_tol
     pw = np.zeros_like(w)
     pw[on] = w[on] ** power
-    return u @ np.diag(pw) @ u.conj().T, u[:, ~on]
+    return u @ np.diag(pw) @ u.conj().T
 
 
 # ---------------------------------------------------------------------------
@@ -233,9 +227,11 @@ def _matrix_power_on_support(m: np.ndarray, power: float, support_tol: float = 1
 # ---------------------------------------------------------------------------
 
 
-def asymmetry(rho: DensityMatrix, spectrum: EnergySpectrum) -> float:
-    """S(D(rho)) - S(rho): the entropy produced by full dephasing."""
-    a = von_neumann_entropy(dephase(rho, spectrum)) - von_neumann_entropy(rho)
+def asymmetry(rho: DensityMatrix, spectrum: EnergySpectrum, delta=None) -> float:
+    """S(D(rho)) - S(rho): the entropy produced by full dephasing in the
+    eigenbasis grouping given by `spectrum`, with levels closer than delta
+    kept coherent."""
+    a = von_neumann_entropy(dephase(rho, spectrum, delta)) - von_neumann_entropy(rho)
     return max(0.0, float(a))
 
 
@@ -257,24 +253,18 @@ def asymmetry_alpha(rho: DensityMatrix, spectrum: EnergySpectrum, alpha: float) 
         if np.real(np.trace(proj.conj().T @ r @ proj)) > 1e-10:
             return math.inf
     if alpha < 1:
-        ra, _ = _matrix_power_on_support(r, alpha)
-        sa, _ = _matrix_power_on_support(sigma, 1.0 - alpha)
+        ra = _matrix_power_on_support(r, alpha)
+        sa = _matrix_power_on_support(sigma, 1.0 - alpha)
         val = np.real(np.trace(ra @ sa))
         return max(0.0, float(np.log(val) / (alpha - 1.0)))
-    sa, _ = _matrix_power_on_support(sigma, (1.0 - alpha) / (2.0 * alpha))
+    sa = _matrix_power_on_support(sigma, (1.0 - alpha) / (2.0 * alpha))
     inner = sa @ r @ sa
-    ia, _ = _matrix_power_on_support(inner, alpha, support_tol=0.0)
+    ia = _matrix_power_on_support(inner, alpha, support_tol=0.0)
     val = np.real(np.trace(ia))
     return max(0.0, float(np.log(val) / (alpha - 1.0)))
 
 
-def holevo_asymmetry(rho: DensityMatrix, dephase_axis: EnergySpectrum, delta=None) -> float:
-    """S(G(rho)) - S(rho) for dephasing in the eigenbasis grouping given by
-    `dephase_axis` (levels with equal axis value stay coherent)."""
-    if rho.n != dephase_axis.n:
-        raise DimensionMismatchError("state/axis dimension mismatch")
-    g = dephase(rho, dephase_axis, delta)
-    return max(0.0, von_neumann_entropy(g) - von_neumann_entropy(rho))
+holevo_asymmetry = asymmetry
 
 
 def _evolve(rho: np.ndarray, spectrum: EnergySpectrum, t: float) -> np.ndarray:
@@ -454,7 +444,6 @@ def _qubit_context_check(ctx: GibbsContext) -> float:
     return float(ctx.gibbs.p[0])
 
 
-
 def qubit_coherence_bound(p: float, q: float, ctx: GibbsContext, c: float) -> tuple[float, float]:
     """Mixing weight lambda realising the population move p -> q, and the
     largest surviving coherence d_max given initial coherence c.
@@ -510,7 +499,7 @@ def qubit_reachable_boundary(
     dephasing of a boundary channel."""
     if samples < 2:
         raise InvalidInputError("need at least two samples")
-    g = _qubit_context_check(ctx)
+    _qubit_context_check(ctx)
     out = []
     for lam in np.linspace(0.0, 1.0, samples):
         gmat = _qubit_lambda_matrix(lam, ctx)

@@ -35,18 +35,6 @@ class TTransform:
         if not 0.0 <= self.t <= 1.0:
             raise ValueError(f"mixing weight must lie in [0, 1], got {self.t}")
 
-    def matrix(self, n: int) -> np.ndarray:
-        m = np.eye(n)
-        m[self.i, self.i] = m[self.j, self.j] = self.t
-        m[self.i, self.j] = m[self.j, self.i] = 1.0 - self.t
-        return m
-
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        out = np.array(v, dtype=float)
-        out[self.i] = self.t * v[self.i] + (1.0 - self.t) * v[self.j]
-        out[self.j] = (1.0 - self.t) * v[self.i] + self.t * v[self.j]
-        return out
-
 
 class TTransformChain(list):
     """Sequence of T-transforms plus permutation bookkeeping.
@@ -70,9 +58,7 @@ class TTransformChain(list):
         self.perm = perm
 
     def apply(self, v) -> np.ndarray:
-        out = np.array(v, dtype=float)
-        for tr in self:
-            out = tr.apply(out)
+        out = _mix_rows(np.array(v, dtype=float), self)
         if self.perm is not None:
             out = out[self.perm]
         return out
@@ -84,14 +70,19 @@ class TTransformChain(list):
         return m
 
 
-def compose_transforms(transforms, n: int) -> np.ndarray:
-    """Dense product of the T-transforms applied in sequence (first acts first)."""
-    m = np.eye(n)
+def _mix_rows(m: np.ndarray, transforms) -> np.ndarray:
+    """Apply the T-transforms in sequence (first acts first) to the rows of
+    m (the entries, for a vector), in place; returns m."""
     for tr in transforms:
         ri, rj = m[tr.i].copy(), m[tr.j].copy()
         m[tr.i] = tr.t * ri + (1.0 - tr.t) * rj
         m[tr.j] = (1.0 - tr.t) * ri + tr.t * rj
     return m
+
+
+def compose_transforms(transforms, n: int) -> np.ndarray:
+    """Dense product of the T-transforms applied in sequence (first acts first)."""
+    return _mix_rows(np.eye(n), transforms)
 
 
 def lorenz_curve(x: ProbVec) -> PLCurve:
@@ -121,7 +112,8 @@ def majorizes(x: ProbVec, y: ProbVec, eps: float = DEFAULT_EPS) -> bool:
 
 def _sorted_frame_chain(xs: np.ndarray, ys: np.ndarray):
     """T-transforms carrying the non-increasing vector xs onto the
-    non-increasing vector ys (same total), one matched coordinate per step.
+    non-increasing vector ys (same total), one matched coordinate per step,
+    as (j, k, t) triples: mix coordinates j and k with weights (t, 1-t).
 
     Each step takes the last index j still above its target and the first
     index k > j still below its target (everything in between already
@@ -151,7 +143,7 @@ def _sorted_frame_chain(xs: np.ndarray, ys: np.ndarray):
         delta = min(v[j] - target[j], target[k] - v[k])
         t = 1.0 - delta / (v[j] - v[k])
         t = min(1.0, max(0.0, t))
-        chain.append(TTransform(j, k, t))
+        chain.append((j, k, t))
         moved = (1.0 - t) * (v[j] - v[k])
         v[j] -= moved
         v[k] += moved
@@ -180,22 +172,26 @@ def hlp_construct(x: ProbVec, y: ProbVec, eps: float = DEFAULT_EPS) -> TTransfor
     Requires majorizes(x, y); raises OrderingError otherwise. Sorts both
     vectors (stable, descending), runs the classical mixing induction in the
     sorted frame -- repeatedly solving ys_j = t xs_j + (1-t) xs_k and
-    recursing on the unmatched coordinates -- and conjugates the resulting
-    T-transforms back to the original labelling of x. The returned chain
-    holds at most n-1 T-transforms; its `perm` field records the final
-    relabelling needed whenever x and y sort differently, and chain.matrix()
-    is the full doubly-stochastic B with B x = y.
+    recursing on the unmatched coordinates -- and builds each T-transform
+    once, in the original labelling of x. The returned chain holds at most
+    n-1 T-transforms; its `perm` field records the final relabelling needed
+    whenever x and y sort differently, and chain.matrix() is the full
+    doubly-stochastic B with B x = y.
     """
     if len(x) != len(y):
         raise DimensionMismatchError("hlp_construct requires equal dimensions")
     if not majorizes(x, y, eps):
         raise OrderingError("x does not majorise y")
+    return _hlp_construct(x, y)
+
+
+def _hlp_construct(x: ProbVec, y: ProbVec) -> TTransformChain:
+    """hlp_construct for equal dimensions and x known to majorise y."""
     n = len(x)
     ox = np.argsort(-x.p, kind="stable")
     oy = np.argsort(-y.p, kind="stable")
-    sorted_chain = _sorted_frame_chain(x.p[ox], y.p[oy])
-    # conjugate each transform into the original coordinates of x
-    transforms = [TTransform(int(ox[tr.i]), int(ox[tr.j]), tr.t) for tr in sorted_chain]
+    # sorted-frame coordinate r is coordinate ox[r] of x
+    transforms = [TTransform(int(ox[j]), int(ox[k]), t) for j, k, t in _sorted_frame_chain(x.p[ox], y.p[oy])]
     # rank r of the sorted frame lives at ox[r] after the transforms but must
     # end up at oy[r]; perm[i] = source index of output coordinate i
     perm = np.empty(n, dtype=int)

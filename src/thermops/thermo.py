@@ -27,7 +27,7 @@ from .errors import (
     OrderingError,
     ResolutionError,
 )
-from .majorization import hlp_construct, majorizes
+from .majorization import _hlp_construct, _mix_rows, majorizes
 
 
 def _is_permutation(arr: np.ndarray) -> bool:
@@ -226,12 +226,23 @@ def construct_gibbs_stochastic(
     block rows and averaging block columns. Averaging is valid because
     embedded inputs are uniform within blocks, and it preserves both the
     column sums and the d/D fixed point exactly.
+
+    Checks run once each, in this order: d_max (InvalidInputError), the
+    dimensions, x thermo-majorising y (OrderingError), and the embedded
+    pair's majorisation (ApproximationError: d_max too small).
     """
+    return _construct(x, y, ctx, d_max, eps)[0]
+
+
+def _construct(
+    x: ProbVec, y: ProbVec, ctx: GibbsContext, d_max: int, eps: float
+) -> tuple[StochasticMatrix, EmbeddingSpec]:
+    """construct_gibbs_stochastic, also returning the embedding it used."""
+    spec = rationalize(ctx, d_max)
     if len(x) != len(y) or len(x) != ctx.n:
         raise DimensionMismatchError("construct requires matching dimensions")
     if not thermo_majorizes(x, y, ctx, eps):
         raise OrderingError("x does not thermo-majorise y")
-    spec = rationalize(ctx, d_max)
     ex, ey = embed(x, spec), embed(y, spec)
     if not majorizes(ex, ey, eps):
         raise ApproximationError(
@@ -239,7 +250,7 @@ def construct_gibbs_stochastic(
             f"{d_max} (approx error {spec.approx_error:.3e}); raise d_max",
             approx_error=spec.approx_error,
         )
-    chain = hlp_construct(ex, ey, eps)
+    chain = _hlp_construct(ex, ey)
     D, n = spec.D, spec.n
     # Need row/column block aggregates of B = chain.matrix() without forming
     # the dense D x D product: W = B^T U^T for U the n x D block indicator,
@@ -253,15 +264,12 @@ def construct_gibbs_stochastic(
         scattered = np.empty_like(u)
         scattered[chain.perm] = u
         u = scattered
-    for tr in reversed(chain):
-        ri, rj = u[tr.i].copy(), u[tr.j].copy()
-        u[tr.i] = tr.t * ri + (1.0 - tr.t) * rj
-        u[tr.j] = (1.0 - tr.t) * ri + tr.t * rj
+    _mix_rows(u, reversed(chain))
     # u[c, i] = sum over block-i rows of B, column c; average over block cols
     g_entries = np.empty((n, n))
     for j, (a, b) in enumerate(starts_stops):
         g_entries[:, j] = u[a:b, :].sum(axis=0) / spec.d[j]
-    return StochasticMatrix(g_entries)
+    return StochasticMatrix(g_entries), spec
 
 
 def feasibility_lp_oracle(x: ProbVec, y: ProbVec, g: ProbVec) -> bool:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from thermops import majorization, thermo
 from thermops.cli import main
 
 
@@ -174,6 +175,35 @@ class TestConstruct:
         assert result.exit_code == 1
         doc = json.loads(result.output)
         assert doc["error"] == "OrderingError"
+
+    def test_huge_d_max_precedes_ordering_error(self, runner, files):
+        # the pair of test_infeasible_is_domain_error, with an invalid cap
+        result = runner.invoke(
+            main,
+            ["construct", "--context", files["ctx"], "--x", files["y"], "--y", files["x"], "--d-max", "1000000000"],
+        )
+        assert result.exit_code == 2
+        assert "at most" in json.loads(result.output)["message"]
+
+    def test_rationalizes_and_checks_embedded_pair_once(self, runner, files, monkeypatch, tmp_path):
+        calls = []
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        majorizes = counted(majorization.majorizes)
+        monkeypatch.setattr(majorization, "majorizes", majorizes)
+        monkeypatch.setattr(thermo, "majorizes", majorizes)
+        monkeypatch.setattr(thermo, "rationalize", counted(thermo.rationalize))
+        ctx = tmp_path / "cctx.json"
+        ctx.write_text(json.dumps({"energies": [0, math.log(4 / 3), math.log(4)], "beta": 1.0}))
+        doc = run_json(runner, ["construct", "--context", str(ctx), "--x", files["x"], "--y", files["g"]])
+        assert doc["D"] == 8
+        assert sorted(calls) == ["majorizes", "rationalize"]
 
 
 class TestWork:

@@ -10,7 +10,7 @@ from hypothesis import given, strategies as st
 from thermops import majorization, thermo
 from thermops.core import EnergySpectrum, GibbsContext, ProbVec
 from thermops.errors import InvalidInputError, OrderingError, ThermopsError
-from thermops.majorization import _MATCH_TOL, TTransform, _sorted_frame_chain
+from thermops.majorization import _MATCH_TOL, _sorted_frame_chain
 from thermops.sampling import random_doubly_stochastic, random_gibbs_stochastic
 from thermops.thermo import (
     D_MAX_CAP,
@@ -70,7 +70,7 @@ def chain_reference(xs, ys):
         delta = min(v[j] - ys[j], ys[k] - v[k])
         t = 1.0 - delta / (v[j] - v[k])
         t = min(1.0, max(0.0, t))
-        chain.append(TTransform(int(j), int(k), float(t)))
+        chain.append((int(j), int(k), float(t)))
         moved = (1.0 - t) * (v[j] - v[k])
         v[j] -= moved
         v[k] += moved
@@ -202,7 +202,7 @@ def test_sorted_frame_chain_matches_mask_rebuild(seed, n, kind):
     assert got[0] == expected[0]
     if expected[0] == "ok":
         assert got[1] == expected[1]
-        assert all(type(tr.i) is int and type(tr.j) is int and type(tr.t) is float for tr in got[1])
+        assert all(type(j) is int and type(k) is int and type(t) is float for j, k, t in got[1])
     else:
         assert got[1] == expected[1]
 

@@ -118,12 +118,14 @@ class TestHLPConstruct:
             np.testing.assert_allclose(b.sum(axis=1), 1.0, atol=1e-10)
             np.testing.assert_allclose(chain.apply(x.p), y.p, atol=1e-9)
 
-    def test_compose_matches_matrix_product(self, rng):
+    def test_compose_matches_matrix_product(self):
         ts = [TTransform(0, 2, 0.4), TTransform(1, 3, 0.9), TTransform(0, 1, 0.1)]
-        direct = np.eye(4)
-        for t in ts:
-            direct = t.matrix(4) @ direct
-        np.testing.assert_allclose(compose_transforms(ts, 4), direct, atol=1e-15)
+        dense = [
+            np.array([[0.4, 0, 0.6, 0], [0, 1, 0, 0], [0.6, 0, 0.4, 0], [0, 0, 0, 1]]),
+            np.array([[1, 0, 0, 0], [0, 0.9, 0, 0.1], [0, 0, 1, 0], [0, 0.1, 0, 0.9]]),
+            np.array([[0.1, 0.9, 0, 0], [0.9, 0.1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]),
+        ]
+        np.testing.assert_allclose(compose_transforms(ts, 4), dense[2] @ dense[1] @ dense[0], atol=1e-15)
 
 
 class TestSchurMonotonicity:
