@@ -272,7 +272,7 @@ def free_energies(context_path, state_path, beta, alpha_grid):
 @_context_opt
 @click.option("--state", "state_path", required=True)
 @_beta_opt
-@click.option("--oracle", is_flag=True, help="cross-check with the geometric bisection oracle")
+@click.option("--oracle", is_flag=True, help="cross-check with the geometric breakpoint oracle")
 @click.option(
     "--support-threshold",
     type=float,

@@ -2,13 +2,15 @@
 
 The battery is a two-level system with gap W, ground state (1, 0); charging
 the battery compresses the joint thermal curve along the x-axis by exp(-bW),
-which is what both bisection oracles exploit.
+so both geometric oracles read their answer off the breakpoints of x's curve.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
+
 import numpy as np
 
-from .core import DEFAULT_EPS, EnergySpectrum, GibbsContext, PLCurve, ProbVec
+from .core import EnergySpectrum, GibbsContext, PLCurve, ProbVec
 from .divergences import renyi_divergence
 from .errors import InvalidInputError, ResolutionError
 from .thermo import thermo_curve, thermo_majorizes
@@ -17,6 +19,10 @@ from .thermo import thermo_curve, thermo_majorizes
 # threshold below decides which populations count as occupied and is
 # surfaced on the CLI for sensitivity audits.
 SUPPORT_THRESHOLD = 1e-12
+# Curve-comparison tolerance inside the geometric oracles, far below the
+# public ordering tolerance: an eps-tolerant check cannot tell apart two
+# breakpoint gaps closer than about eps / (beta * smallest population).
+_ORACLE_EPS = 1e-13
 
 
 def _require_thermal(ctx: GibbsContext):
@@ -86,60 +92,49 @@ def battery_rescaled_curve(
     return curve
 
 
-def _battery_transition_holds(x: ProbVec, ctx: GibbsContext, W: float, eps: float) -> bool:
-    """x (x) ground-battery thermo-majorises g (x) excited-battery at gap W."""
-    initial, joint_ctx = _joint_state(x, ctx, W, excited=False)
-    final, _ = _joint_state(ProbVec(ctx.gibbs.p), ctx, W, excited=True)
-    return thermo_majorizes(initial, final, joint_ctx, eps)
+def _battery_holds(x: ProbVec, ctx: GibbsContext, W: float, extract: bool) -> bool:
+    """At gap W: x (x) ground battery thermo-majorises g (x) excited battery
+    (extract), or g (x) excited battery thermo-majorises x (x) ground battery."""
+    state, joint_ctx = _joint_state(x, ctx, W, excited=False)
+    thermal, _ = _joint_state(ctx.gibbs, ctx, W, excited=True)
+    if extract:
+        return thermo_majorizes(state, thermal, joint_ctx, _ORACLE_EPS)
+    return thermo_majorizes(thermal, state, joint_ctx, _ORACLE_EPS)
 
 
-def w_det_geometric_oracle(
-    x: ProbVec, ctx: GibbsContext, tol: float = 1e-10, eps: float = 1e-13
-) -> float:
-    """Largest battery gap W such that x with a discharged battery can still
-    reach the thermal state with a charged one; bisection on the monotone
-    curve-domination predicate. Independent of the closed form in w_det.
+def _battery_threshold(x: ProbVec, ctx: GibbsContext, extract: bool) -> float:
+    """Gap W where the battery verdict flips: the largest W that extraction
+    still reaches, or the smallest W that formation needs.
 
-    The comparisons inside the bisection run far below the public ordering
-    tolerance: an eps-tolerant domination check cannot resolve W below about
-    eps / (beta * smallest population), so the 1e-9 default would poison the
-    last two digits of the answer."""
+    The charged thermal state's curve is one segment ending in an elbow at
+    (exp(-beta W) Z, 1), so the verdict can only change where that segment
+    passes through a breakpoint (a_k, y_k) of x's curve, at
+    W_k = kT log(y_k Z / a_k). The verdict is constant between consecutive
+    candidates, so it is probed only at their midpoints and above the top
+    one, far from the tie at the answer, and the first probe on the far side
+    of the flip is found by binary search over the probes."""
     _require_thermal(ctx)
-    hi = float(-ctx.kT * np.log(ctx.gibbs.p.min())) + 1.0
-    if not _battery_transition_holds(x, ctx, 0.0, eps):
-        return 0.0
-    if _battery_transition_holds(x, ctx, hi, eps):
-        return hi
-    lo = 0.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if _battery_transition_holds(x, ctx, mid, eps):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    a, y = thermo_curve(x, ctx).points.T
+    on = (a > 0) & (y > 0)
+    w = ctx.kT * np.log(y[on] * ctx.Z / a[on])
+    cand = np.unique(np.append(w[w > 0], 0.0))
+    probes = np.append(0.5 * (cand[:-1] + cand[1:]), cand[-1] + 1.0)
+    k = bisect_left(range(len(probes)), True,
+                    key=lambda i: _battery_holds(x, ctx, float(probes[i]), extract) != extract)
+    if k == len(probes):
+        raise ResolutionError("battery verdict does not flip above the largest breakpoint gap")
+    return float(cand[k])
 
 
-def w_for_geometric_oracle(
-    x: ProbVec, ctx: GibbsContext, tol: float = 1e-10, eps: float = 1e-13
-) -> float:
+def w_det_geometric_oracle(x: ProbVec, ctx: GibbsContext) -> float:
+    """Largest battery gap W such that x with a discharged battery can still
+    reach the thermal state with a charged one, read off the breakpoints of
+    x's thermal curve and decided by curve comparisons alone. Independent of
+    the closed form in w_det."""
+    return _battery_threshold(x, ctx, extract=True)
+
+
+def w_for_geometric_oracle(x: ProbVec, ctx: GibbsContext) -> float:
     """Smallest battery gap W such that the thermal state with a charged
     battery reaches x with a discharged one; mirror of the w_det oracle."""
-    _require_thermal(ctx)
-
-    def holds(W: float) -> bool:
-        initial, joint_ctx = _joint_state(ProbVec(ctx.gibbs.p), ctx, W, excited=True)
-        final, _ = _joint_state(x, ctx, W, excited=False)
-        return thermo_majorizes(initial, final, joint_ctx, eps)
-
-    lo = 0.0
-    hi = float(ctx.kT * np.log((x.p / ctx.gibbs.p).max())) + 1.0
-    if holds(lo):
-        return 0.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if holds(mid):
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    return _battery_threshold(x, ctx, extract=False)

@@ -206,7 +206,7 @@ def test_criterion_08_work_formulas():
         if not conditionally_thermal(x, ctx):
             irreversible &= w_for(x, ctx) > w_det(x, ctx)
     report(8, "work vs geometric oracles (200 states)",
-           worst_det <= 1e-8 and worst_for <= 1e-8 and exact_zero and irreversible,
+           worst_det <= 1e-12 and worst_for <= 1e-12 and exact_zero and irreversible,
            f"det gap {worst_det:.2e}, formation gap {worst_for:.2e}")
 
 
@@ -366,6 +366,6 @@ def test_criterion_15_monotone_suite():
             fx, fy = free_energy_alpha(x, ctx, alpha), free_energy_alpha(y, ctx, alpha)
             if fx != math.inf:
                 worst_f = max(worst_f, fy - fx)
-    ok = worst_asym <= 1e-9 and worst_qfi <= 1e-9 and worst_f <= 1e-9 and worst_est <= 1e-4
+    ok = worst_asym <= 1e-9 and worst_qfi <= 1e-9 and worst_f <= 1e-9 and worst_est <= 1e-12
     report(15, "monotone suite (500 + 500 draws)", ok,
            f"asym {worst_asym:.1e}, qfi {worst_qfi:.1e}, F {worst_f:.1e}")

@@ -216,7 +216,7 @@ class TestWork:
             runner,
             ["work", "for", "--context", files["ctx"], "--state", files["y"], "--oracle"],
         )
-        assert doc["oracle_gap"] <= 1e-8
+        assert doc["oracle_gap"] <= 1e-12
 
 
 class TestQuantumCommands:

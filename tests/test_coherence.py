@@ -208,10 +208,10 @@ class TestQFI:
         assert qfi(DensityMatrix.from_diag([0.3, 0.7]), E01) == pytest.approx(0.0, abs=1e-10)
 
     def test_plus_state_unit_gap(self):
-        assert qfi(PLUS, E01) == pytest.approx(1.0, abs=1e-4)
+        assert qfi(PLUS, E01) == pytest.approx(1.0, abs=1e-12)
 
     def test_plus_state_double_gap(self):
-        assert qfi(PLUS, EnergySpectrum([0.0, 2.0])) == pytest.approx(4.0, abs=1e-3)
+        assert qfi(PLUS, EnergySpectrum([0.0, 2.0])) == pytest.approx(4.0, abs=1e-12)
 
     def test_pure_state_variance_oracle(self, rng):
         for _ in range(10):
@@ -223,11 +223,7 @@ class TestQFI:
             e = spec.energies
             mean = float(np.real(np.vdot(v, e * v)))
             var = float(np.real(np.vdot(v, e**2 * v))) - mean**2
-            assert qfi(rho, spec) == pytest.approx(4 * var, abs=1e-3 * (1 + 4 * var))
-
-    def test_rejects_bad_step(self):
-        with pytest.raises(InvalidInputError):
-            qfi(PLUS, E01, delta_t=0.0)
+            assert qfi(rho, spec) == pytest.approx(4 * var, abs=1e-12 * (1 + 4 * var))
 
 
 class TestFreeEnergySplit:

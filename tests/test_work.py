@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from thermops import work
 from thermops.core import EnergySpectrum, GibbsContext, ProbVec
-from thermops.errors import InvalidInputError
+from thermops.errors import InvalidInputError, ResolutionError
 from thermops.sampling import (
     random_context,
     random_gibbs_stochastic,
@@ -115,17 +116,51 @@ class TestGeometricOracles:
     def test_two_level_sharp(self, ctx_halves):
         x = ProbVec([1.0, 0.0])
         assert w_det_geometric_oracle(x, ctx_halves) == pytest.approx(
-            w_det(x, ctx_halves), abs=1e-8
+            w_det(x, ctx_halves), abs=1e-12
         )
 
     def test_full_support_zero(self, rng, ctx_012):
         x = random_prob_vec(rng, 3)
-        assert abs(w_det_geometric_oracle(x, ctx_012)) <= 1e-8
+        assert abs(w_det_geometric_oracle(x, ctx_012)) <= 1e-12
 
     def test_rank_deficient_agreement(self, rng):
         for _ in range(60):
             n = int(rng.integers(2, 6))
             ctx = random_context(rng, n, beta_range=(0.3, 3.0))
             x = random_rank_deficient_vec(rng, n)
-            assert w_det_geometric_oracle(x, ctx) == pytest.approx(w_det(x, ctx), abs=1e-8)
-            assert w_for_geometric_oracle(x, ctx) == pytest.approx(w_for(x, ctx), abs=1e-8)
+            assert w_det_geometric_oracle(x, ctx) == pytest.approx(w_det(x, ctx), abs=1e-12)
+            assert w_for_geometric_oracle(x, ctx) == pytest.approx(w_for(x, ctx), abs=1e-12)
+
+    def test_rank_deficient_tiny_population(self):
+        # an occupied level holding 1.3e-7: a 1e-13-tolerant curve comparison
+        # cannot place W nearer than ~2e-8 to this state's threshold, so the
+        # oracle must read W off the breakpoints, not narrow in on it
+        e = [0.0, 0.07013790514289353, 0.5014278247958112, 0.8349746530201584,
+             1.2006902412674476, 1.2148231866810058, 1.5313576924471937, 1.7742329448280532]
+        ctx = GibbsContext(EnergySpectrum(e), 2.045720824781952)
+        x = ProbVec([0.0, 0.5305754912356256, 0.18800645427182044, 0.0, 0.0,
+                     1.2712632080595195e-07, 0.022954479087020627, 0.2584634482792126])
+        assert w_det_geometric_oracle(x, ctx) == pytest.approx(w_det(x, ctx), abs=1e-12)
+        assert w_for_geometric_oracle(x, ctx) == pytest.approx(w_for(x, ctx), abs=1e-12)
+
+    def test_logarithmic_predicate_calls(self, rng, monkeypatch):
+        n = 64
+        calls = []
+
+        def counting(*args):
+            calls.append(1)
+            return thermo_majorizes(*args)
+
+        monkeypatch.setattr(work, "thermo_majorizes", counting)
+        ctx = random_context(rng, n, beta_range=(0.3, 3.0))
+        for x in (random_rank_deficient_vec(rng, n), random_prob_vec(rng, n)):
+            for oracle, closed in ((w_det_geometric_oracle, w_det), (w_for_geometric_oracle, w_for)):
+                calls.clear()
+                value = oracle(x, ctx)
+                assert 0 < len(calls) <= math.ceil(math.log2(n + 2)) + 1
+                assert value == pytest.approx(closed(x, ctx), abs=1e-12)
+
+    def test_missing_flip_raises(self, ctx_012, monkeypatch):
+        monkeypatch.setattr(work, "thermo_majorizes", lambda *args: True)
+        with pytest.raises(ResolutionError):
+            w_det_geometric_oracle(ProbVec([0.5, 0.5, 0.0]), ctx_012)
