@@ -247,8 +247,12 @@ class PLCurve:
 def curve_dominates(top: PLCurve, bottom: PLCurve, eps: float = DEFAULT_EPS) -> bool:
     """True iff `top` lies nowhere below `bottom`, compared at the union of
     breakpoint abscissas (exact for piecewise-linear curves), with matching
-    endpoints within eps."""
-    if abs(top.end()[0] - bottom.end()[0]) > eps or abs(top.end()[1] - bottom.end()[1]) > eps:
+    endpoints: ordinates within eps, abscissas within eps * max(1, |x_end|).
+    The abscissa test is relative because two curves of one context end at
+    the same sum of weights taken in different orders, whose rounding grows
+    with the sum."""
+    (xt, yt), (xb, yb) = top.end(), bottom.end()
+    if abs(xt - xb) > eps * max(1.0, abs(xt), abs(xb)) or abs(yt - yb) > eps:
         return False
     grid = np.union1d(top.x, bottom.x)
     return bool(np.all(top.evaluate(grid) >= bottom.evaluate(grid) - eps))

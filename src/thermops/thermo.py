@@ -10,7 +10,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .core import (
     DEFAULT_EPS,
@@ -281,6 +280,9 @@ def feasibility_lp_oracle(x: ProbVec, y: ProbVec, g: ProbVec) -> bool:
         raise DimensionMismatchError("oracle requires equal dimensions")
     if np.any(g.p <= 0):
         raise InvalidInputError("thermal vector must be strictly positive")
+    # imported here, so that only this oracle pays for loading scipy
+    from scipy.optimize import linprog
+
     nv = n * n  # variable (i, j) at index i * n + j
     a_eq = np.zeros((3 * n, nv))
     b_eq = np.zeros(3 * n)
@@ -307,106 +309,65 @@ def feasibility_lp_oracle(x: ProbVec, y: ProbVec, g: ProbVec) -> bool:
     raise RuntimeError(f"LP solver failed with status {res.status}: {res.message}")
 
 
-def _rebalance_to_marginals(real: np.ndarray, row_marg, col_marg) -> np.ndarray:
-    """Nearest matrix (entrywise, measured in column-marginal units) to `real`
-    with the exact integer marginals; tiny deterministic LP."""
-    n_r, n_c = real.shape
-    nv = n_r * n_c
-    a_eq = np.zeros((n_r + n_c, nv + 1))
-    b_eq = np.concatenate([row_marg, col_marg]).astype(float)
-    for i in range(n_r):
-        a_eq[i, i * n_c : (i + 1) * n_c] = 1.0
-    for j in range(n_c):
-        a_eq[n_r + j, j:nv:n_c] = 1.0
-    a_ub = np.zeros((2 * nv, nv + 1))
-    b_ub = np.zeros(2 * nv)
-    scale = np.tile(np.asarray(col_marg, dtype=float), n_r)
-    idx = np.arange(nv)
-    a_ub[idx, idx] = 1.0
-    a_ub[idx, nv] = -scale
-    b_ub[:nv] = real.ravel()
-    a_ub[nv + idx, idx] = -1.0
-    a_ub[nv + idx, nv] = -scale
-    b_ub[nv:] = -real.ravel()
-    c = np.zeros(nv + 1)
-    c[nv] = 1.0
-    bounds = [(0.0, None)] * nv + [(0.0, None)]
-    res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=bounds, method="highs")
-    if res.status != 0:
-        raise ResolutionError("marginal rebalancing infeasible; increase the degeneracy scale")
-    return res.x[:nv].reshape(n_r, n_c)
+# Degeneracy scales must stay below this cap, so that every d_i and every
+# floor of G_ij * d_j is an exactly representable integer.
+GE_CAP = 2**53
 
 
-def _cycle_round(real: np.ndarray) -> np.ndarray:
-    """Round a matrix with integer marginals to an integer matrix with the
-    same marginals, moving every entry by strictly less than one.
+def _round_transport(real: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Integer matrix with row and column sums d, every entry floor(real) or
+    floor(real) + 1.
 
-    Fractional entries are edges of a bipartite row/column graph in which
-    every incident node has degree >= 2 (fractional parts at a node sum to an
-    integer), so they always contain a cycle; pushing mass alternately around
-    a cycle until some entry hits its floor or ceiling keeps both marginals
-    and every entry inside [floor, ceil], and removes at least one fractional
-    entry per pass.
+    Each column's deficit d_j - sum_i floor(real_ij) goes, one unit each, to
+    its largest fractional parts, which fixes the column sums. The rows are
+    then repaired one unit at a time along a shortest augmenting path from a
+    row above its sum to one below it; each step moves a column's +1 from
+    one row to the next, so no column sum changes. When no path exists, no
+    such rounding exists either: the rows reachable from the surplus already
+    hold the fewest +1s that the column deficits allow.
     """
-    m = real.copy()
-    tol = 1e-9
-    for _ in range(2 * m.size + 2):
-        frac = np.abs(m - np.rint(m)) > tol
-        if not frac.any():
-            break
-        i0, j0 = (int(v) for v in np.argwhere(frac)[0])
-        # walk row -> column -> row ... along fractional edges, never reusing
-        # the edge just traversed, until a node repeats
-        node_pos = {("r", i0): 0}
-        edges = []
-        cur, prev_edge = ("r", i0), None
-        while True:
-            if cur[0] == "r":
-                i = cur[1]
-                cands = [int(jj) for jj in np.nonzero(frac[i])[0] if (i, int(jj)) != prev_edge]
-                if not cands:
-                    raise ResolutionError("fractional graph lost its cycle structure")
-                edge, nxt = (i, cands[0]), ("c", cands[0])
-            else:
-                j = cur[1]
-                cands = [int(ii) for ii in np.nonzero(frac[:, j])[0] if (int(ii), j) != prev_edge]
-                if not cands:
-                    raise ResolutionError("fractional graph lost its cycle structure")
-                edge, nxt = (cands[0], j), ("r", cands[0])
-            edges.append(edge)
-            prev_edge = edge
-            if nxt in node_pos:
-                cycle = edges[node_pos[nxt]:]
-                break
-            node_pos[nxt] = len(node_pos)
-            cur = nxt
-        up, dn = cycle[0::2], cycle[1::2]
-        delta = min(
-            min(np.ceil(m[e] - tol) - m[e] for e in up),
-            min(m[e] - np.floor(m[e] + tol) for e in dn),
-        )
-        for e in up:
-            m[e] += delta
-        for e in dn:
-            m[e] -= delta
-    out = np.rint(m).astype(np.int64)
-    if np.max(np.abs(out - m)) > 1e-6:
-        raise ResolutionError("cycle rounding did not converge")
-    return out
+    n = len(d)
+    base = np.floor(real).astype(np.int64)
+    need = d - base.sum(axis=0)
+    if need.min() < 0 or need.max() > n:
+        raise ResolutionError("target columns do not sum to 1 within the bath resolution")
+    order = np.argsort(base - real, axis=0, kind="stable")  # largest fraction first
+    up = np.zeros((n, n), dtype=bool)
+    up[order, np.arange(n)] = np.arange(n)[:, None] < need
+    surplus = base.sum(axis=1) + up.sum(axis=1) - d
+    while surplus.any():
+        _augment(up, surplus)
+    return base + up
 
 
-def _integer_transport(real: np.ndarray, row_marg, col_marg) -> np.ndarray:
-    """Non-negative integer matrix with the given integer marginals, staying
-    within one unit (plus the marginal-rebalancing shift) of `real`."""
-    balanced = _rebalance_to_marginals(real, row_marg, col_marg)
-    counts = _cycle_round(balanced)
-    if np.any(counts < 0):
-        raise ResolutionError("integer transport produced negative counts")
-    if np.any(counts.sum(axis=1) != np.asarray(row_marg)) or np.any(
-        counts.sum(axis=0) != np.asarray(col_marg)
-    ):
-        raise ResolutionError("integer transport failed; increase the degeneracy scale")
-    return counts
+def _augment(up: np.ndarray, surplus: np.ndarray):
+    """Move one unit from a row with surplus > 0 to a row with surplus < 0,
+    in place, along a shortest path of single-column +1 moves.
+
+    Breadth-first over rows; a row with a +1 in column j reaches every row
+    without one there. Each column is expanded once, so a search is O(n^2).
+    """
+    reached = surplus > 0
+    prev = np.full(len(surplus), -1)
+    via = np.full(len(surplus), -1)
+    open_cols = np.ones(up.shape[1], dtype=bool)
+    queue = np.nonzero(reached)[0].tolist()
+    for a in queue:  # grows while it is read
+        for j in np.nonzero(up[a] & open_cols)[0].tolist():
+            open_cols[j] = False
+            new = np.nonzero(~up[:, j] & ~reached)[0]
+            reached[new], prev[new], via[new] = True, a, j
+            short = new[surplus[new] < 0]
+            if len(short):
+                b = int(short[0])
+                surplus[b] += 1
+                while prev[b] >= 0:
+                    up[prev[b], via[b]], up[b, via[b]] = False, True
+                    b = prev[b]
+                surplus[b] -= 1
+                return
+            queue.extend(new.tolist())
+    raise ResolutionError("no integer bath transport within one unit of the target")
 
 
 def bath_model_simulate(
@@ -417,25 +378,34 @@ def bath_model_simulate(
     A block at total energy E holds d_i = round(gE * exp(-beta(E_i - E_min)))
     states for each system level i; permuting them transfers n_(i|j) of the
     d_j states of level j to level i, inducing G_(i|j) = n_(i|j)/d_j. The
-    induced matrix is exactly stochastic and exactly fixes the rounded
-    thermal vector d/D; its distance to the target (the returned residual)
-    shrinks as the degeneracy scale gE grows.
+    counts n are G_(i|j) d_j rounded to an integer matrix with row and
+    column sums exactly d, so the induced matrix is exactly stochastic and
+    exactly fixes the rounded thermal vector d/D. Every count is the floor
+    of the float product G_(i|j) d_j or one more, so each induced entry lies
+    within 1/d_j of the target (plus the product's own rounding, below
+    2^-53), and the returned residual, the largest such distance, falls as
+    the degeneracy scale gE grows.
+
+    gE must be below GE_CAP (InvalidInputError). ResolutionError means some
+    level gets no bath state, or no such rounding exists: the target's
+    column sums or fixed point are off by more than the bath resolution.
     """
     n = ctx.n
     if g_target.n != n:
         raise DimensionMismatchError("target/context dimension mismatch")
     if not g_target.fixes(ctx.gibbs, tol=1e-9):
         raise InvalidInputError("target matrix does not preserve the thermal vector")
+    if gE >= GE_CAP:
+        raise InvalidInputError(f"degeneracy scale must be below 2**53, got {gE}")
     e = ctx.spectrum.energies
     d = np.rint(gE * np.exp(-ctx.beta * (e - e.min()))).astype(np.int64)
     if np.any(d < 1):
         raise ResolutionError(
             "degeneracy scale too small: some level would get zero bath states"
         )
-    # column sums of G diag(d) are exactly d_j; row sums miss d_i only by the
-    # rounding of d itself, which the marginal rebalancing absorbs
-    real = g_target.entries * d[None, :]
-    counts = _integer_transport(real, d, d)
+    counts = _round_transport(g_target.entries * d[None, :], d)
+    if np.any(counts < 0) or np.any(counts.sum(axis=0) != d) or np.any(counts.sum(axis=1) != d):
+        raise ResolutionError("integer bath transport missed its marginals")
     induced = StochasticMatrix(counts / d[None, :])
     residual = float(np.max(np.abs(induced.entries - g_target.entries)))
     return induced, residual

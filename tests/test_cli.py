@@ -1,6 +1,10 @@
 import csv
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -287,6 +291,24 @@ class TestQuantumCommands:
         )
         assert doc["residual"] <= 1e-12
 
+    def test_simulate_bath_huge_ge(self, runner, tmp_path):
+        ctx = tmp_path / "bctx.json"
+        ctx.write_text(json.dumps({"energies": [0, 1], "beta": 1.0}))
+        target = tmp_path / "target.json"
+        g = [1 / (1 + math.exp(-1)), math.exp(-1) / (1 + math.exp(-1))]
+        m = [[0.5 + 0.5 * g[0], 0.5 * g[0]], [0.5 * g[1], 0.5 + 0.5 * g[1]]]
+        target.write_text(json.dumps({"entries": m}))
+        args = ["simulate-bath", "--context", str(ctx), "--target", str(target), "--ge"]
+        start = time.perf_counter()
+        doc = run_json(runner, args + ["1000000000"])
+        assert time.perf_counter() - start < 1.0
+        assert doc["residual"] <= 2 / 1e9  # criterion 14's n / gE
+        result = runner.invoke(main, args + [str(10**17)])
+        assert result.exit_code == 2
+        doc = json.loads(result.output)
+        assert doc["error"] == "InvalidInputError"
+        assert "2**53" in doc["message"]
+
 
 class TestErrorPaths:
     def test_missing_file_exit_two(self, runner, files):
@@ -328,3 +350,14 @@ class TestErrorPaths:
             ],
         )
         assert result.exit_code == 2  # dimension problem is an input error
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    """Only the LP oracle needs scipy; it imports scipy.optimize when called."""
+    path = [str(pathlib.Path(thermo.__file__).parent.parent), *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    code = "import sys, thermops.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True
+    )
+    assert out.stdout.strip() == "False"

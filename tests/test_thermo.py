@@ -1,5 +1,6 @@
 import math
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,6 +16,8 @@ from thermops.errors import (
 from thermops.majorization import majorizes
 from thermops.sampling import random_context, random_gibbs_stochastic, random_prob_vec
 from thermops.thermo import (
+    GE_CAP,
+    _round_transport,
     bath_model_simulate,
     beta_order,
     construct_gibbs_stochastic,
@@ -142,6 +145,28 @@ class TestThermoMajorizes:
             assert thermo_majorizes(x, y, ctx)
             for alpha in grid:
                 assert free_energy_alpha(x, ctx, alpha) >= free_energy_alpha(y, ctx, alpha) - 1e-9
+
+    def test_end_abscissa_rounding_at_large_n(self):
+        # Both curves end at Z ~ 5.1e4, summed in two beta-orders. At rng
+        # seed 78 the two sums differ by 1.04e-9, and an absolute end test
+        # at eps = 1e-9 called this feasible pair infeasible.
+        n = 2**16
+        rng = np.random.default_rng(78)
+        ctx = GibbsContext(EnergySpectrum(np.sort(rng.uniform(0.0, 3.0, n))), 0.18)
+        g = ctx.gibbs.p
+        x = rng.dirichlet(np.ones(n))
+        y = x.copy()
+        for _ in range(2):  # random matchings of two-level Gibbs-preserving moves
+            pairs = rng.permutation(n).reshape(-1, 2)
+            i, j = pairs.min(axis=1), pairs.max(axis=1)
+            lam = rng.uniform(0.0, 1.0, len(i))
+            r = g[j] / g[i]
+            yi, yj = y[i], y[j]
+            y[i] = (1.0 - lam * r) * yi + lam * yj
+            y[j] = lam * r * yi + (1.0 - lam) * yj
+        x, y = ProbVec(x), ProbVec(y)
+        assert abs(thermo_curve(x, ctx).end()[0] - thermo_curve(y, ctx).end()[0]) > 1e-9
+        assert thermo_majorizes(x, y, ctx) is True
 
 
 class TestEmbedding:
@@ -333,3 +358,62 @@ class TestBathModel:
         target = StochasticMatrix(np.eye(2))
         with pytest.raises(ResolutionError):
             bath_model_simulate(target, ctx, 10)
+
+
+def _half_thermalising(n):
+    """Energies linspace(0, 1, n) at beta = 1 and the target I/2 + g 1^T / 2."""
+    ctx = GibbsContext(EnergySpectrum(np.linspace(0.0, 1.0, n)), 1.0)
+    g = ctx.gibbs.p
+    return ctx, StochasticMatrix(0.5 * np.eye(n) + 0.5 * np.outer(g, np.ones(n)))
+
+
+class TestBathRounding:
+    # 1e6, 1e10 and 1e12 include scales at which a marginal-rebalancing LP
+    # plus a cycle walk with an absolute 1e-9 returned residuals of
+    # 0.075 (n = 24), 0.25 (n = 3) and 0.90 (n = 8)
+    SCALES = [10**k for k in range(2, 16)] + [2**52, GE_CAP - 1]
+
+    @pytest.mark.parametrize("n", [3, 8, 24])
+    def test_exact_at_every_scale(self, n):
+        ctx, target = _half_thermalising(n)
+        e = ctx.spectrum.energies
+        for g_e in self.SCALES:
+            d = np.rint(g_e * np.exp(-ctx.beta * (e - e.min()))).astype(np.int64)
+            real = target.entries * d[None, :]
+            counts = _round_transport(real, d)
+            np.testing.assert_array_equal(counts.sum(axis=0), d)
+            np.testing.assert_array_equal(counts.sum(axis=1), d)
+            assert np.all((counts == np.floor(real)) | (counts == np.floor(real) + 1))
+            # in exact arithmetic: within one unit of G_ij d_j, up to the
+            # rounding of the float product (below 2^-53 d_j)
+            for i in range(n):
+                for j in range(n):
+                    exact = Fraction(float(target.entries[i, j])) * int(d[j])
+                    assert abs(int(counts[i, j]) - exact) < 1 + Fraction(int(d[j]), 2**53)
+            induced, residual = bath_model_simulate(target, ctx, g_e)
+            assert induced.fixes(ProbVec(d / d.sum()), tol=1e-12)
+            assert residual <= float(np.max(1.0 / d)) + 2.0**-52
+
+    def test_large_n_is_fast(self):
+        ctx, target = _half_thermalising(256)
+        start = time.perf_counter()
+        _, residual = bath_model_simulate(target, ctx, 1000)
+        assert time.perf_counter() - start < 1.0
+        assert residual <= math.e / 1000
+
+    def test_scale_cap(self, ctx_halves):
+        target = StochasticMatrix(np.eye(2))
+        with pytest.raises(InvalidInputError):
+            bath_model_simulate(target, ctx_halves, GE_CAP)
+        assert bath_model_simulate(target, ctx_halves, GE_CAP - 1)[1] == 0.0
+
+    @pytest.mark.parametrize("column_scale, shift", [(1 + 4e-10, 0.0), (1.0, 1e-9)])
+    def test_target_off_by_more_than_the_resolution(self, ctx_halves, column_scale, shift):
+        # column sums 1 + 2e-10, or a fixed point off by 5e-10: both pass
+        # validation, but at gE = 1e12 they put the column sums (or the row
+        # sums) of G diag(d) hundreds of bath states away from d
+        g = ctx_halves.gibbs.p
+        mix = np.outer(g + [shift, -shift], [1.0, 1.0]) * column_scale
+        target = StochasticMatrix(0.5 * np.eye(2) + 0.5 * mix)
+        with pytest.raises(ResolutionError):
+            bath_model_simulate(target, ctx_halves, 10**12)
