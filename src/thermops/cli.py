@@ -225,12 +225,19 @@ def curve(context_path, state_path, beta, out_path):
 @click.option("--y", "y_path", required=True)
 @_beta_opt
 @_eps_opt
-@click.option("--d-max", type=int, default=128, show_default=True, help="denominator cap")
+@click.option(
+    "--d-max", type=int, default=128, show_default=True, help="denominator cap of the reported embedding"
+)
 def construct(context_path, x_path, y_path, beta, epsilon, d_max):
-    """Synthesise a Gibbs-stochastic matrix mapping x to y."""
+    """Synthesise a Gibbs-stochastic matrix mapping x to y.
+
+    The map fixes the thermal vector itself; d, D and approx_error report the
+    paper's rational embedding g ~ d/D with D <= d-max, which the map does
+    not use."""
     ctx = load_context(context_path, beta)
     x, y = load_prob_vec(x_path), load_prob_vec(y_path)
-    g, spec = thermo._construct(x, y, ctx, d_max, epsilon)
+    g = thermo.construct_gibbs_stochastic(x, y, ctx, d_max, epsilon)
+    spec = thermo.rationalize(ctx, d_max)
     emit(
         {
             "matrix": g.entries.tolist(),
@@ -238,9 +245,7 @@ def construct(context_path, x_path, y_path, beta, epsilon, d_max):
             "D": spec.D,
             "approx_error": spec.approx_error,
             "map_residual": float(np.max(np.abs(g.entries @ x.p - y.p))),
-            "fixed_point_residual": float(
-                np.max(np.abs(g.entries @ spec.rational_gibbs().p - spec.rational_gibbs().p))
-            ),
+            "fixed_point_residual": float(np.max(np.abs(g.entries @ ctx.gibbs.p - ctx.gibbs.p))),
         }
     )
 

@@ -18,10 +18,12 @@ class OrderingError(ThermopsError):
 
 
 class ApproximationError(ThermopsError):
-    """Rational approximation of the thermal vector too coarse for the request.
+    """An approximation too coarse for the request: a rational approximation
+    of the thermal vector, or a map whose floating-point residual exceeds the
+    tolerance.
 
-    Carries the achieved `approx_error` so callers can retry with a larger
-    denominator cap.
+    Carries the achieved `approx_error` (the approximation's error or the
+    map's residual).
     """
 
     def __init__(self, message, approx_error=None):

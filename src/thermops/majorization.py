@@ -2,8 +2,8 @@
 doubly-stochastic synthesis via T-transforms, and asymptotic conversion rates.
 
 This is the uniform-fixed-point (infinite temperature) limit of the thermal
-theory; the thermo module lifts everything here to a general Gibbs fixed point
-through the embedding map.
+theory. The sorted-frame induction also comes with weights, for the thermo
+module's synthesis of maps that fix a general Gibbs vector.
 """
 from __future__ import annotations
 
@@ -164,6 +164,55 @@ def _sorted_frame_chain(xs: np.ndarray, ys: np.ndarray):
     if np.max(np.abs(np.asarray(v) - ys)) > 1e-9:
         raise OrderingError("sorted-frame synthesis did not converge")
     return chain
+
+
+def _weighted_frame_moves(mass: list, target: list, length: list) -> list:
+    """Two-level moves carrying the masses of cells of positive length onto
+    their targets, as (j, k, a, b) tuples: the map [[1-a, b], [a, 1-b]] on
+    cells (j, k), which keeps both lengths fixed (a l_j = b l_k).
+
+    This is the sorted-frame induction with weights (d-majorisation; Marshall,
+    Olkin & Arnold, Inequalities, 2nd ed., ch. 14). The densities mass/length
+    and target/length must be non-increasing along the cells, and cumulative
+    masses must dominate cumulative targets. Cells are visited in order; each
+    cell k below its target draws from the last earlier cell j still above
+    its target, moving delta = min(excess_j, deficit_k) with
+    a = delta / (l_j (f_j - f_k)) and b = a l_j / l_k for densities f. Both
+    are at most 1 because f_k < tau_k <= tau_j < f_j for target densities
+    tau; they are capped there against round-off. Each move puts j or k
+    exactly on its target, so there are fewer moves than cells, and the
+    cells above target form a stack.
+
+    A deficit with nothing above target before it (the pair misses the
+    ordering by round-off, within the caller's tolerance) is left in place;
+    the caller checks the residual of the map it builds.
+    """
+    m = list(mass)
+    above, moves = [], []
+    for k in range(len(m)):
+        if m[k] > target[k]:
+            above.append(k)
+            continue
+        while above and m[k] < target[k]:
+            j = above[-1]
+            gap = m[j] / length[j] - m[k] / length[k]
+            if not gap > 0.0:  # both mismatches are round-off
+                break
+            excess, deficit = m[j] - target[j], target[k] - m[k]
+            if excess <= deficit:
+                delta = excess
+                m[j] = target[j]
+                above.pop()
+                m[k] = target[k] if excess == deficit else m[k] + delta
+            else:
+                delta = deficit
+                m[k] = target[k]
+                m[j] -= delta
+            # round-off can push a or b past 1 when the densities nearly
+            # tie; capping a at l_k / l_j as well keeps a l_j = b l_k
+            a = min(1.0, length[k] / length[j], delta / (length[j] * gap))
+            moves.append((j, k, a, min(1.0, a * length[j] / length[k])))
+    return moves
 
 
 def hlp_construct(x: ProbVec, y: ProbVec, eps: float = DEFAULT_EPS) -> TTransformChain:

@@ -26,7 +26,7 @@ from .errors import (
     OrderingError,
     ResolutionError,
 )
-from .majorization import _hlp_construct, _mix_rows, majorizes
+from .majorization import _weighted_frame_moves
 
 
 def _is_permutation(arr: np.ndarray) -> bool:
@@ -117,10 +117,8 @@ def thermo_majorizes(x: ProbVec, y: ProbVec, ctx: GibbsContext, eps: float = DEF
     return curve_dominates(thermo_curve(x, ctx), thermo_curve(y, ctx), eps)
 
 
-# Largest d_max that rationalize accepts. The scan and the D-dimensional
-# synthesis behind construct_gibbs_stochastic grow with d_max; at this cap one
-# construct call took 1.5 s at n = 8 and 2.2 s at n = 64 (one core), with a
-# peak resident size of 100-160 MB.
+# Largest d_max that rationalize (and construct_gibbs_stochastic, which
+# range-checks it the same way) accepts. The scan grows with d_max.
 D_MAX_CAP = 2**16
 # Array entries (rows x n) scored per block in rationalize: about 128 KiB per
 # temporary, and few enough rows that an early exact fit wastes little.
@@ -143,6 +141,13 @@ def _raise_to_one(d: np.ndarray):
         d[rows, np.argmax(d[rows], axis=1)] -= 1
 
 
+def _check_d_max(n: int, d_max: int):
+    if d_max < n:
+        raise InvalidInputError(f"d_max must be at least the dimension {n}")
+    if d_max > D_MAX_CAP:
+        raise InvalidInputError(f"d_max must be at most {D_MAX_CAP}, got {d_max}")
+
+
 def rationalize(ctx: GibbsContext, d_max: int) -> EmbeddingSpec:
     """Best rational approximation g ~ d/D with D <= d_max.
 
@@ -159,10 +164,7 @@ def rationalize(ctx: GibbsContext, d_max: int) -> EmbeddingSpec:
     InvalidInputError, so the scan is bounded.
     """
     n = ctx.n
-    if d_max < n:
-        raise InvalidInputError(f"d_max must be at least the dimension {n}")
-    if d_max > D_MAX_CAP:
-        raise InvalidInputError(f"d_max must be at most {D_MAX_CAP}, got {d_max}")
+    _check_d_max(n, d_max)
     g = ctx.gibbs.p
     rows, stop = max(1, _SCAN_BLOCK_ENTRIES // n), int(d_max) + 1
     best, best_err = None, math.inf
@@ -218,57 +220,99 @@ def construct_gibbs_stochastic(
     d_max: int = 128,
     eps: float = DEFAULT_EPS,
 ) -> StochasticMatrix:
-    """Synthesise G with G x = y and G fixing the (rationalised) thermal vector.
+    """Synthesise G with G x = y and G g = g for the thermal vector g itself.
 
-    Route: rationalise g as d/D, lift x and y with the embedding map, run the
-    T-transform construction in dimension D, and compress back by summing
-    block rows and averaging block columns. Averaging is valid because
-    embedded inputs are uniform within blocks, and it preserves both the
-    column sums and the d/D fixed point exactly.
+    The map is built on the true g, in O(n^2) time whatever d_max is (see
+    _construct); d_max is kept, and range-checked like rationalize's, for
+    callers that pass it, and no longer changes the map.
 
     Checks run once each, in this order: d_max (InvalidInputError), the
-    dimensions, x thermo-majorising y (OrderingError), and the embedded
-    pair's majorisation (ApproximationError: d_max too small).
+    dimensions, and x thermo-majorising y (OrderingError). A map whose
+    residual |G x - y| or |G g - g| exceeds eps in floating point is never
+    returned: ApproximationError, carrying the residual, is raised instead.
+    That happens only for thermal weights near the smallest subnormals.
     """
-    return _construct(x, y, ctx, d_max, eps)[0]
-
-
-def _construct(
-    x: ProbVec, y: ProbVec, ctx: GibbsContext, d_max: int, eps: float
-) -> tuple[StochasticMatrix, EmbeddingSpec]:
-    """construct_gibbs_stochastic, also returning the embedding it used."""
-    spec = rationalize(ctx, d_max)
+    _check_d_max(ctx.n, d_max)
     if len(x) != len(y) or len(x) != ctx.n:
         raise DimensionMismatchError("construct requires matching dimensions")
     if not thermo_majorizes(x, y, ctx, eps):
         raise OrderingError("x does not thermo-majorise y")
-    ex, ey = embed(x, spec), embed(y, spec)
-    if not majorizes(ex, ey, eps):
+    return _construct(x, y, ctx, eps)
+
+
+def _cells(g: np.ndarray, ox: np.ndarray, oy: np.ndarray):
+    """Cut the thermal axis at the breakpoints of both beta-orders.
+
+    Levels are laid end to end with lengths g_j, once in the order ox and
+    once in the order oy; every cell lies in one level of each. Returns the
+    x-level, the y-level and the length of each cell, in axis order (at most
+    2n - 1 cells). Lengths are taken from what is left of the two current
+    levels, not from differences of cumulative sums, so each level's cells
+    add up to its own weight to a few ulps of that weight, however small it
+    is. When one order runs out, the few ulps of 1 left in the other are
+    dropped.
+    """
+    a, b = g[ox].tolist(), g[oy].tolist()
+    n = len(a)
+    p = q = 0
+    left_a, left_b = a[0], b[0]
+    cx, cy, length = [], [], []
+    while p < n and q < n:
+        step = min(left_a, left_b)
+        cx.append(p)
+        cy.append(q)
+        length.append(step)
+        left_a -= step
+        left_b -= step
+        if left_a == 0.0:
+            p += 1
+            left_a = a[p] if p < n else 0.0
+        if left_b == 0.0:
+            q += 1
+            left_b = b[q] if q < n else 0.0
+    return ox[cx], oy[cy], np.array(length)
+
+
+def _construct(x: ProbVec, y: ProbVec, ctx: GibbsContext, eps: float) -> StochasticMatrix:
+    """construct_gibbs_stochastic for matching dimensions and x known to
+    thermo-majorise y.
+
+    On the cells of _cells, x has mass x_j l_c / g_j and y has mass
+    y_i l_c / g_i; both densities are non-increasing, and thermo-majorisation
+    is exactly the dominance of the cumulative masses. The weighted
+    sorted-frame induction matches the masses with length-preserving
+    two-level moves, applied to the measure matrix W (cells x levels of x,
+    W_cj the part of level j's thermal weight now in cell c). Then
+    G_ij = sum over the cells c of y-level i of W_cj / sum_c W_cj, so the
+    columns sum to 1, G g = g and G x = y hold by construction. A level too
+    light to get a cell (below a few ulps of 1, at the end of the order)
+    gets the identity column.
+    """
+    g, n = ctx.gibbs.p, ctx.n
+    cx, cy, length = _cells(g, beta_order(x, ctx).ranks, beta_order(y, ctx).ranks)
+    mass = x.p[cx] * (length / g[cx])
+    target = y.p[cy] * (length / g[cy])
+    w = np.zeros((len(length), n))
+    w[np.arange(len(length)), cx] = length
+    for j, k, a, b in _weighted_frame_moves(mass.tolist(), target.tolist(), length.tolist()):
+        w[j], w[k] = (1.0 - a) * w[j] + b * w[k], a * w[j] + (1.0 - b) * w[k]
+    rows = np.zeros((n, n))
+    np.add.at(rows, cy, w)
+    cols = rows.sum(axis=0)
+    empty = cols == 0.0
+    rows[:, empty] = np.eye(n)[:, empty]
+    cols[empty] = 1.0
+    entries = rows / cols
+    residual = max(
+        float(np.max(np.abs(entries @ x.p - y.p))), float(np.max(np.abs(entries @ g - g)))
+    )
+    if not residual <= eps:  # also catches NaN from subnormal weights
         raise ApproximationError(
-            "embedded majorisation fails at denominator cap "
-            f"{d_max} (approx error {spec.approx_error:.3e}); raise d_max",
-            approx_error=spec.approx_error,
+            f"constructed map misses its target by {residual:.3e} in floating point "
+            f"(tolerance {eps:.3e})",
+            approx_error=residual,
         )
-    chain = _hlp_construct(ex, ey)
-    D, n = spec.D, spec.n
-    # Need row/column block aggregates of B = chain.matrix() without forming
-    # the dense D x D product: W = B^T U^T for U the n x D block indicator,
-    # computed by applying the (symmetric) transforms to U^T in reverse.
-    u = np.zeros((D, n))
-    starts_stops = spec.blocks()
-    for i, (a, b) in enumerate(starts_stops):
-        u[a:b, i] = 1.0
-    if chain.perm is not None:
-        # (P M)^T U0 = M^T (P^T U0); P^T scatters row r to row perm[r]
-        scattered = np.empty_like(u)
-        scattered[chain.perm] = u
-        u = scattered
-    _mix_rows(u, reversed(chain))
-    # u[c, i] = sum over block-i rows of B, column c; average over block cols
-    g_entries = np.empty((n, n))
-    for j, (a, b) in enumerate(starts_stops):
-        g_entries[:, j] = u[a:b, :].sum(axis=0) / spec.d[j]
-    return StochasticMatrix(g_entries), spec
+    return StochasticMatrix(entries)
 
 
 def feasibility_lp_oracle(x: ProbVec, y: ProbVec, g: ProbVec) -> bool:

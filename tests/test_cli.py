@@ -189,7 +189,9 @@ class TestConstruct:
         assert result.exit_code == 2
         assert "at most" in json.loads(result.output)["message"]
 
-    def test_rationalizes_and_checks_embedded_pair_once(self, runner, files, monkeypatch, tmp_path):
+    def test_rationalizes_once_and_never_checks_embedded_pair(self, runner, files, monkeypatch, tmp_path):
+        # the map is built on the true g; one rationalize call fills the
+        # reported d, D and approx_error
         calls = []
 
         def counted(fn):
@@ -199,15 +201,27 @@ class TestConstruct:
 
             return wrapper
 
-        majorizes = counted(majorization.majorizes)
-        monkeypatch.setattr(majorization, "majorizes", majorizes)
-        monkeypatch.setattr(thermo, "majorizes", majorizes)
+        monkeypatch.setattr(majorization, "majorizes", counted(majorization.majorizes))
         monkeypatch.setattr(thermo, "rationalize", counted(thermo.rationalize))
         ctx = tmp_path / "cctx.json"
         ctx.write_text(json.dumps({"energies": [0, math.log(4 / 3), math.log(4)], "beta": 1.0}))
         doc = run_json(runner, ["construct", "--context", str(ctx), "--x", files["x"], "--y", files["g"]])
         assert doc["D"] == 8
-        assert sorted(calls) == ["majorizes", "rationalize"]
+        assert calls == ["rationalize"]
+
+    def test_fixed_point_residual_is_against_the_true_gibbs_vector(self, runner, files, tmp_path):
+        # beta = 1.2 on levels 0, 1, 2: g is irrational, so d/D misses it by
+        # approx_error while the map fixes g itself
+        w = np.exp(-1.2 * np.arange(3.0))
+        y = 0.5 * np.array([2 / 3, 1 / 3, 0.0]) + 0.5 * w / w.sum()
+        ypath = tmp_path / "half.json"
+        ypath.write_text(json.dumps({"diag": y.tolist()}))
+        doc = run_json(runner, ["construct", "--context", files["ctx"], "--x", files["y"], "--y", str(ypath)])
+        assert doc["approx_error"] > 1e-3
+        assert doc["map_residual"] <= 1e-12
+        assert doc["fixed_point_residual"] <= 1e-12
+        m = np.array(doc["matrix"])
+        assert np.max(np.abs(m @ (w / w.sum()) - w / w.sum())) <= 1e-12
 
 
 class TestWork:

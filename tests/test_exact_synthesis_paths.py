@@ -1,16 +1,17 @@
 """The block scan in rationalize and the incremental sorted-frame chain,
 checked bit for bit against the per-denominator loop and the per-step mask
-rebuild they replaced, kept here as references."""
+rebuild they replaced, and construct_gibbs_stochastic checked against the
+rational-embedding route it replaced; all kept here as references."""
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from thermops import majorization, thermo
+from thermops import thermo
 from thermops.core import EnergySpectrum, GibbsContext, ProbVec
-from thermops.errors import InvalidInputError, OrderingError, ThermopsError
-from thermops.majorization import _MATCH_TOL, _sorted_frame_chain
+from thermops.errors import ApproximationError, InvalidInputError, OrderingError, ThermopsError
+from thermops.majorization import _MATCH_TOL, _hlp_construct, _sorted_frame_chain, majorizes
 from thermops.sampling import random_doubly_stochastic, random_gibbs_stochastic
 from thermops.thermo import (
     D_MAX_CAP,
@@ -18,6 +19,7 @@ from thermops.thermo import (
     construct_gibbs_stochastic,
     embed,
     rationalize,
+    thermo_majorizes,
 )
 
 
@@ -210,26 +212,56 @@ def test_sorted_frame_chain_matches_mask_rebuild(seed, n, kind):
 # ---------------------------------------------------------------- construct
 
 
+def construct_via_embedding_reference(x, y, ctx, d_max, eps=1e-9):
+    """The rational-embedding route construct_gibbs_stochastic replaced: lift
+    x and y through g ~ d/D, run the T-transform construction in dimension
+    D and compress by summing block rows and averaging block columns. The
+    map fixes d/D, not g; a pair the embedding cannot keep ordered is
+    refused with ApproximationError."""
+    spec = rationalize(ctx, d_max)
+    if not thermo_majorizes(x, y, ctx, eps):
+        raise OrderingError("x does not thermo-majorise y")
+    ex, ey = embed(x, spec), embed(y, spec)
+    if not majorizes(ex, ey, eps):
+        raise ApproximationError("embedded majorisation fails", approx_error=spec.approx_error)
+    b = _hlp_construct(ex, ey).matrix()
+    blocks = spec.blocks()
+    rows = np.array([b[a:e].sum(axis=0) for a, e in blocks])
+    return np.array([rows[:, a:e].sum(axis=1) / (e - a) for a, e in blocks]).T, spec
+
+
+def map_error(m, x, y, fixed):
+    return max(float(np.max(np.abs(m @ x - y))), float(np.max(np.abs(m @ fixed - fixed))))
+
+
 @given(
     seed=st.integers(0, 2**32 - 1),
     n=st.integers(2, 8),
     thermalise=st.floats(0.0, 1.0),
     d_max=st.sampled_from([16, 64, 300]),
+    swap=st.booleans(),
 )
-def test_construct_matrix_bit_identical(seed, n, thermalise, d_max):
+def test_construct_matches_embedding_route(seed, n, thermalise, d_max, swap):
+    # where the embedding answers, both maps hold to 1e-12, each for its own
+    # fixed point; where it refuses a thermo-majorising pair, construct
+    # answers; ordering refusals (mostly swapped pairs) agree word for word
     rng = np.random.default_rng(seed)
     ctx = GibbsContext(EnergySpectrum(np.sort(rng.uniform(0.0, 2.0, n))), float(rng.uniform(0.0, 5.0)))
     x = rng.dirichlet(np.ones(n))
     y = random_gibbs_stochastic(rng, ctx).entries @ x
     y = (1.0 - thermalise) * y + thermalise * ctx.gibbs.p
     x, y = ProbVec(x), ProbVec(y / y.sum())
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(thermo, "rationalize", rationalize_reference)
-        mp.setattr(majorization, "_sorted_frame_chain", chain_reference)
-        expected = outcome(construct_gibbs_stochastic, x, y, ctx, d_max)
+    if swap:
+        x, y = y, x
+    expected = outcome(construct_via_embedding_reference, x, y, ctx, d_max)
     got = outcome(construct_gibbs_stochastic, x, y, ctx, d_max)
-    assert got[0] == expected[0]
+    if expected[0] is OrderingError:
+        assert got == expected
+        return
+    assert got[0] == "ok"
+    assert map_error(got[1].entries, x.p, y.p, ctx.gibbs.p) <= 1e-12
     if expected[0] == "ok":
-        assert got[1].entries.tobytes() == expected[1].entries.tobytes()
+        ref, spec = expected[1]
+        assert map_error(ref, x.p, y.p, spec.rational_gibbs().p) <= 1e-12
     else:
-        assert got[1] == expected[1]
+        assert expected[0] is ApproximationError

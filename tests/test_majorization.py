@@ -6,6 +6,7 @@ from thermops.core import ProbVec
 from thermops.errors import DimensionMismatchError, OrderingError, UnboundedRateError
 from thermops.majorization import (
     TTransform,
+    _weighted_frame_moves,
     asymptotic_rate,
     compose_transforms,
     hlp_construct,
@@ -162,3 +163,26 @@ def test_lorenz_curve_concave_and_normalised(x):
     slopes = np.diff(c.y) / np.diff(c.x)
     assert np.all(np.diff(slopes) <= 1e-12)
     assert c.end() == (float(len(x)), pytest.approx(1.0))
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    cells=st.integers(1, 40),
+    spread=st.sampled_from([0.0, 3.0, 30.0]),
+    lam=st.floats(0.0, 1.0),
+)
+def test_weighted_frame_moves_keep_lengths_and_reach_target(seed, cells, spread, lam):
+    # cells of lengths over up to 13 orders of magnitude; the target mixes
+    # each density with the flat one, so cumulative masses dominate it
+    rng = np.random.default_rng(seed)
+    length = rng.dirichlet(np.ones(cells)) * np.exp(-spread * rng.random(cells))
+    density = np.sort(rng.exponential(size=cells) / length)[::-1]
+    mass = density * length
+    target = lam * mass + (1.0 - lam) * length * (mass.sum() / length.sum())
+    w = np.diag(length)  # measure of each starting cell, carried by the moves
+    for j, k, a, b in _weighted_frame_moves(mass.tolist(), target.tolist(), length.tolist()):
+        assert 0.0 <= a <= 1.0 and 0.0 <= b <= 1.0
+        assert a * length[j] == pytest.approx(b * length[k], rel=1e-12, abs=0.0)
+        w[j], w[k] = (1.0 - a) * w[j] + b * w[k], a * w[j] + (1.0 - b) * w[k]
+    np.testing.assert_allclose(w.sum(axis=1), length, rtol=1e-12, atol=0.0)
+    assert np.max(np.abs(w @ density - target)) <= 1e-12 * mass.sum()

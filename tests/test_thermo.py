@@ -264,17 +264,13 @@ class TestConstruct:
             np.testing.assert_allclose(g.entries.sum(axis=0), 1.0, atol=1e-10)
 
     def test_irrational_g_with_error_budget(self, rng, ctx_012):
+        # the budget is round-off: the map fixes the true g, not a d/D
         for _ in range(20):
             x = random_prob_vec(rng, 3)
             lam = rng.uniform(0.3, 1.0)
             y = ProbVec((1 - lam) * x.p + lam * ctx_012.gibbs.p)
-            spec = rationalize(ctx_012, 256)
             g = construct_gibbs_stochastic(x, y, ctx_012, 256)
-            tol = max(1e-9, 3 * spec.approx_error)
-            assert np.max(np.abs(g.entries @ x.p - y.p)) <= tol
-            np.testing.assert_allclose(
-                g.entries @ spec.rational_gibbs().p, spec.rational_gibbs().p, atol=1e-10
-            )
+            assert_exact_map(g, x, y, ctx_012)
 
     def test_ordering_precondition(self, ctx_eighths):
         with pytest.raises(OrderingError):
@@ -293,6 +289,108 @@ class TestConstruct:
         except ApproximationError as exc:
             assert exc.approx_error > 0
         # success is also acceptable; the contract only fixes the failure mode
+
+
+def assert_exact_map(g, x, y, ctx, tol=1e-12):
+    assert np.max(np.abs(g.entries @ x.p - y.p)) <= tol
+    assert np.max(np.abs(g.entries @ ctx.gibbs.p - ctx.gibbs.p)) <= tol
+    assert np.max(np.abs(g.entries.sum(axis=0) - 1.0)) <= tol
+
+
+def floats(text):
+    return [float(v) for v in text.split()]
+
+
+class TestConstructOnTrueGibbs:
+    """Pairs the rational embedding g ~ d/D could not build, and the limits of
+    building on the true g."""
+
+    # interior construct questions of the small-exact benchmark, refused at
+    # d_max 1024 because min g < 1/1024 left no D keeping the pair ordered
+    BENCHMARK_PAIRS = {
+        "seed 32, question 484": (
+            "0.0 0.1732258805019644 1.4652730106778376 2.8186397511946355",
+            2.931512136949669,
+            "0.7049575001682652 0.23018071929952608 0.016879828858646743 0.047981951673562014",
+            "0.6836035385025081 0.3064225633976947 0.00974187339964527 0.00023202470015202842",
+        ),
+        "seed 21, question 1409": (
+            "0.0 0.49298673791292813 2.3063321075540264 2.6130700834468765",
+            2.6559148339086525,
+            "0.7581418304542994 0.22400870170713394 0.016143857514752703 0.0017056103238137631",
+            "0.7806314074946938 0.21663195635561608 0.0017587654272692595 0.0009778707224207433",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(BENCHMARK_PAIRS))
+    def test_benchmark_pairs_refused_by_the_embedding(self, name):
+        e, beta, x, y = self.BENCHMARK_PAIRS[name]
+        ctx = GibbsContext(EnergySpectrum(floats(e)), beta)
+        x, y = ProbVec(floats(x)), ProbVec(floats(y))
+        assert thermo_majorizes(x, y, ctx)
+        assert_exact_map(construct_gibbs_stochastic(x, y, ctx, 1024), x, y, ctx)
+
+    def test_levels_below_the_cumulative_ulp(self, rng):
+        # g_k ~ e^(-5.2 k): from k = 7 on, a level is lighter than one ulp of
+        # the cumulative thermal weight, and the lightest is ~1e-70
+        ctx = GibbsContext(EnergySpectrum(np.arange(32.0)), 5.2)
+        assert ctx.gibbs.p[7] < np.spacing(1.0)
+        for _ in range(10):
+            x = random_prob_vec(rng, 32)
+            lam = rng.uniform(0.3, 0.9)
+            y = ProbVec((1 - lam) * x.p + lam * ctx.gibbs.p)
+            assert_exact_map(construct_gibbs_stochastic(x, y, ctx, 1024), x, y, ctx)
+            gvec = ProbVec(ctx.gibbs.p)
+            assert_exact_map(construct_gibbs_stochastic(x, gvec, ctx, 1024), x, gvec, ctx)
+        # x empty above level 4: the light empty levels end x's order, get no
+        # cell before y's order runs out, and take the identity column
+        low = ProbVec(np.concatenate([rng.dirichlet(np.ones(5)), np.zeros(27)]))
+        assert_exact_map(construct_gibbs_stochastic(low, gvec, ctx, 1024), low, gvec, ctx)
+
+    def test_tied_ratios_matched_up_to_round_off(self):
+        # x_i = g_i / 2 on levels 0-3 and 6, in both states: the cells there
+        # are over and under target by round-off only, with lengths 4x apart,
+        # so an uncapped two-level move would not keep the cell lengths
+        ctx = GibbsContext(
+            EnergySpectrum(floats("0.0 0.07700000000000001 0.711 1.103 1.193 1.657 2.255 2.453")), 0.206
+        )
+        x = ProbVec(floats(
+            "0.07849987811961122 0.07726453644887037 0.06780467003664138 0.06254454808298754 "
+            "0.04732344512632945 0.593472040961479 0.04933170965574037 0.023759171568340665"
+        ))
+        y = ProbVec(floats(
+            "0.07849987811961122 0.07726453644887037 0.06780467003664138 0.06254454808298754 "
+            "0.1030966835561363 0.4911325268139396 0.04933170965574037 0.07032544728607322"
+        ))
+        assert_exact_map(construct_gibbs_stochastic(x, y, ctx, 128), x, y, ctx)
+
+    def test_subnormal_weight_is_refused_not_answered(self):
+        # level 2 has weight 4.9e-324 and holds 0.4 of x: its density
+        # overflows, so no map can be built in floating point
+        ctx = GibbsContext(EnergySpectrum([0.0, 1.0, 745.0]), 1.0)
+        assert 0.0 < ctx.gibbs.p[2] < np.finfo(float).tiny
+        x = ProbVec([0.3, 0.3, 0.4])
+        y = ProbVec(0.5 * x.p + 0.5 * ctx.gibbs.p)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert thermo_majorizes(x, y, ctx)
+            with pytest.raises(ApproximationError) as info:
+                construct_gibbs_stochastic(x, y, ctx, 128)
+        assert info.value.approx_error > 1e-9
+
+    def test_map_does_not_depend_on_d_max(self, rng, ctx_012):
+        x = random_prob_vec(rng, 3)
+        y = ProbVec(0.5 * x.p + 0.5 * ctx_012.gibbs.p)
+        maps = [construct_gibbs_stochastic(x, y, ctx_012, d).entries for d in (3, 128, 2**16)]
+        assert all(m.tobytes() == maps[0].tobytes() for m in maps)
+
+    def test_n256_is_fast(self, rng):
+        ctx = random_context(rng, 256)
+        x = random_prob_vec(rng, 256)
+        y = ProbVec(0.5 * random_gibbs_stochastic(rng, ctx).entries @ x.p + 0.5 * ctx.gibbs.p)
+        start = time.perf_counter()
+        g = construct_gibbs_stochastic(x, y, ctx, 1024)
+        assert time.perf_counter() - start < 1.0
+        assert_exact_map(g, x, y, ctx)
 
 
 class TestLPOracle:
